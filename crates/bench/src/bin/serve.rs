@@ -1,27 +1,27 @@
-//! Replays the synthetic course-week submission trace through the
-//! `pbl-serve` job service and records the serving numbers into
-//! `BENCH_serve.json`; doubles as the CI determinism smoke (`--check`).
+//! Replays the synthetic course-week submission trace through a
+//! one-shard `pbl-serve` cluster (L2 tier off) and records the serving
+//! numbers into `BENCH_serve.json`; doubles as the CI determinism smoke
+//! (`--check`).
 //!
-//! The benchmark compares two configurations on the identical
+//! The benchmark compares two cluster shapes on the identical
 //! workload:
 //!
-//! * **cold baseline** — caching and single-flight disabled: every
+//! * **cold baseline** — L1 cache and single-flight disabled: every
 //!   admitted job computes, the way the one-shot CLI binaries serve
 //!   the engines today;
-//! * **cached service** — the content-addressed cache with batch-level
-//!   single-flight: identical submissions compute once per week.
+//! * **cached** — a 512-entry L1 with single-flight: identical
+//!   submissions compute once per week.
 //!
-//! Before recording anything the binary asserts (1) the batch reports
+//! Before recording anything the binary asserts (1) the day reports
 //! and cache state are bit-identical at 1 and 4 workers, (2) the
 //! course-week cache hit rate clears the ≥50% acceptance bar, and
-//! (3) metrics instrumentation does not perturb the report digests
-//! (the observer-effect invariant).
+//! (3) metrics instrumentation does not perturb the day digests (the
+//! observer-effect invariant).
 //!
-//! Note on cores: this container exposes a single CPU, so the recorded
-//! speedup is algorithmic (work avoided by the cache at identical
-//! output bytes), not hardware-parallel; `host_cores` is recorded in
-//! the JSON and the worker sweep is asserted for determinism, not
-//! speed.
+//! Note on cores: the recorded course-week speedup is algorithmic
+//! (work avoided by the cache at identical output bytes), not
+//! hardware-parallel; `host_cores` is recorded in the JSON and the
+//! worker sweep is asserted for determinism, not speed.
 //!
 //! On top of the course week, the binary sweeps the **semester**
 //! workload — ~1M seeded open-loop submissions over 15 simulated weeks
@@ -49,14 +49,15 @@
 //! full digest varies with worker count, or the semantic digest or
 //! invariant telemetry digest varies at all — wired into CI as the
 //! serve determinism smoke step. `--series-out` writes the clean smoke
-//! semester's `"pbl-ts/v1"` series JSON for artifact upload.
+//! semester's `"pbl-ts/v1"` series JSON for artifact upload. Any other
+//! `--` flag exits 2 before any work starts.
 
 use std::time::Instant;
 
+use obs::trace::fnv1a;
 use serve::cluster::{self, Cluster, ClusterConfig};
 use serve::telemetry;
 use serve::workload::{course_week, SemesterConfig};
-use serve::{Service, ServiceConfig};
 
 /// Wall-clock repetitions per measurement; the minimum is recorded.
 const REPS: usize = 2;
@@ -72,25 +73,40 @@ fn time_min_ms<T, F: FnMut() -> T>(mut f: F) -> (f64, T) {
     (best, out.unwrap())
 }
 
-/// Serves the whole week on a fresh service, returning the chained
-/// FNV-1a digest of every day's report plus the final cache state —
-/// the one number the determinism matrix compares.
-fn week_digest(workers: usize) -> u64 {
-    let service = Service::new(ServiceConfig::with_workers(workers));
+/// The cold baseline: the course-week node with no cache and no
+/// single-flight, so every admitted job computes.
+fn cold_single_node(workers: usize) -> ClusterConfig {
+    ClusterConfig {
+        l1_capacity: 0,
+        single_flight: false,
+        ..ClusterConfig::single_node(workers)
+    }
+}
+
+/// Serves the whole week on a fresh course-week cluster, returning the
+/// chained FNV-1a digest of every day's report plus the final cache
+/// state — the one number the determinism matrix compares. With a
+/// `registry`, every day's metrics are recorded into it as well.
+fn week_digest(workers: usize, registry: Option<&obs::Registry>) -> u64 {
+    let cluster = Cluster::new(ClusterConfig::single_node(workers));
     let mut bytes = Vec::new();
     for day in course_week() {
-        bytes.extend(service.run_batch(&day).digest().to_le_bytes());
+        let report = cluster.run_day(&day);
+        if let Some(registry) = registry {
+            report.record_metrics(registry);
+        }
+        bytes.extend(report.digest().to_le_bytes());
     }
-    bytes.extend(service.cache_digest().to_le_bytes());
-    obs::trace::fnv1a(&bytes)
+    bytes.extend(cluster.state_digest().to_le_bytes());
+    fnv1a(&bytes)
 }
 
 fn check_mode() -> ! {
-    let reference = week_digest(1);
+    let reference = week_digest(1, None);
     println!("serve --check: 1-worker week digest {reference:#018x}");
     let mut ok = true;
     for workers in [2, 4, 8] {
-        let digest = week_digest(workers);
+        let digest = week_digest(workers, None);
         println!("serve --check: {workers}-worker week digest {digest:#018x}");
         if digest != reference {
             eprintln!("DETERMINISM FAILURE: {workers}-worker digest differs from 1-worker");
@@ -196,18 +212,18 @@ fn series_mode(out: &str) -> ! {
     std::process::exit(0);
 }
 
-/// `--trace-out` mode: traces Monday's batch, gated on the traced
-/// report being bit-identical to an untraced one.
+/// `--trace-out` mode: traces Monday, gated on the traced day report
+/// being bit-identical to an untraced one.
 fn trace_mode(out: &str) -> ! {
     let week = course_week();
     let monday = &week[0];
-    let plain = Service::new(ServiceConfig::default()).run_batch(monday);
-    let (traced, trace) = Service::new(ServiceConfig::default())
-        .run_batch_traced(monday, &obs::trace::TraceConfig::default());
+    let plain = Cluster::new(ClusterConfig::single_node(4)).run_day(monday);
+    let (traced, trace) = Cluster::new(ClusterConfig::single_node(4))
+        .run_day_traced(monday, &obs::trace::TraceConfig::default());
     assert_eq!(
         plain.digest(),
         traced.digest(),
-        "determinism violated: trace instrumentation perturbed the batch"
+        "determinism violated: trace instrumentation perturbed the day"
     );
     std::fs::write(out, trace.to_chrome_json()).unwrap_or_else(|e| {
         eprintln!("serve: cannot write {out}: {e}");
@@ -229,18 +245,20 @@ struct WeekRun {
     p99_vt: u64,
 }
 
-/// Serves the week through `config`, aggregating the serving stats.
-fn serve_week(config: ServiceConfig) -> WeekRun {
-    let service = Service::new(config);
+/// Serves the week through a fresh `config` cluster, aggregating the
+/// serving stats.
+fn serve_week(config: ClusterConfig) -> WeekRun {
+    let cluster = Cluster::new(config);
     let mut computed = 0;
     let mut accepted = 0;
     let mut hits_and_joins = 0;
     let mut sojourns: Vec<u64> = Vec::new();
     for day in course_week() {
-        let report = service.run_batch(&day);
-        computed += report.stats.computed;
-        accepted += report.stats.accepted;
-        hits_and_joins += report.stats.hits + report.stats.joins;
+        let report = cluster.run_day(&day);
+        let s = &report.stats;
+        computed += s.computed;
+        accepted += s.accepted;
+        hits_and_joins += s.l1_hits + s.l2_hits + s.local_joins + s.cross_joins;
         sojourns.extend(report.sojourns_vt());
     }
     sojourns.sort_unstable();
@@ -405,14 +423,14 @@ fn json(
     out.push_str("{\n");
     out.push_str("  \"bench\": \"serve\",\n");
     out.push_str(
-        "  \"description\": \"One synthetic course week (26 teams x 5 daily batches of patternlet / reduction / mapreduce / report / replication jobs) replayed through the pbl-serve job service: cold baseline (cache and single-flight disabled, every admitted job computes) vs the cached service (content-addressed result cache with WFQ scheduling and batch-level single-flight). Batch reports and cache state are asserted bit-identical across 1/2/4/8 workers, and metrics instrumentation is asserted side-effect-free, before recording. On top, a full semester (~1M seeded open-loop submissions from 2000 tenants over 105 days) is swept through the consistent-hash sharded cluster at 1/2/4/8 shards with a shared L2 cache and cross-shard single-flight; the semantic semester digest is asserted bit-identical across shard counts and throughput is asserted monotonically improving from 1 to 4 shards.\",\n",
+        "  \"description\": \"One synthetic course week (26 teams x 5 daily batches of patternlet / reduction / mapreduce / report / replication jobs) replayed through a one-shard pbl-serve cluster with the L2 tier off: cold baseline (L1 cache and single-flight disabled, every admitted job computes) vs cached (content-addressed 512-entry L1 with WFQ scheduling and single-flight). Day reports and cache state are asserted bit-identical across 1/2/4/8 workers, and metrics instrumentation is asserted side-effect-free, before recording. On top, a full semester (~1M seeded open-loop submissions from 2000 tenants over 105 days) is swept through the consistent-hash sharded cluster at 1/2/4/8 shards with a shared L2 cache and cross-shard single-flight; the semantic semester digest is asserted bit-identical across shard counts and throughput is asserted monotonically improving from 1 to 4 shards.\",\n",
     );
     out.push_str("  \"command\": \"cargo run --release -p pbl-bench --bin serve\",\n");
     out.push_str(&format!("  \"reps_per_measurement\": {REPS},\n"));
     out.push_str("  \"timer\": \"std::time::Instant, minimum of reps, milliseconds\",\n");
     out.push_str(&format!("  \"host_cores\": {host_cores},\n"));
     out.push_str(
-        "  \"note\": \"single-core container: the speedup is algorithmic (computation avoided by content-addressed reuse at identical output bytes), and the worker sweep demonstrates worker-count invariance rather than hardware scaling\",\n",
+        "  \"note\": \"the course-week speedup is algorithmic (computation avoided by content-addressed reuse at identical output bytes), and the worker sweep demonstrates worker-count invariance rather than hardware scaling\",\n",
     );
     out.push_str("  \"workload\": {\n");
     out.push_str("    \"name\": \"course-week\",\n");
@@ -539,10 +557,10 @@ fn json(
     out.push_str("      \"crate\": \"pbl-serve\",\n");
     out.push_str("      \"workers\": 4,\n");
     out.push_str(
-        "      \"before\": \"cold service (cache_capacity 0, single_flight off): every admitted submission executes its engine\",\n",
+        "      \"before\": \"cold one-shard cluster (L1 and L2 off, single_flight off): every admitted submission executes its engine\",\n",
     );
     out.push_str(
-        "      \"after\": \"cached service (LRU 512 entries, single-flight): identical submissions compute once per week\",\n",
+        "      \"after\": \"cached one-shard cluster (L1 LRU 512 entries, L2 off, single-flight): identical submissions compute once per week\",\n",
     );
     out.push_str(&format!("      \"before_ms\": {cold_ms:.3},\n"));
     out.push_str(&format!("      \"after_ms\": {cached_ms:.3},\n"));
@@ -569,7 +587,7 @@ fn json(
     out.push_str(&format!("    \"p50_sojourn_vt\": {},\n", cached.p50_vt));
     out.push_str(&format!("    \"p99_sojourn_vt\": {},\n", cached.p99_vt));
     out.push_str(
-        "    \"sojourn_units\": \"WFQ virtual time (cost-estimate cycles x 1000 / tenant tickets); batches arrive at vt 0\"\n",
+        "    \"sojourn_units\": \"WFQ virtual time (cost-estimate cycles x 1000 / tenant tickets); course-week arrivals are at vt 0\"\n",
     );
     out.push_str("  },\n");
     out.push_str(&format!("  \"week_digest\": \"{week_digest:#018x}\",\n"));
@@ -581,46 +599,80 @@ fn json(
     out
 }
 
+/// What one invocation of the binary does.
+#[derive(Debug, PartialEq, Eq)]
+enum Mode {
+    /// The full benchmark, written to this path.
+    Bench(String),
+    /// The determinism smoke.
+    Check,
+    /// Trace Monday to this path.
+    TraceOut(String),
+    /// Export the clean smoke semester's series to this path.
+    SeriesOut(String),
+}
+
+/// Parses the arguments after the program name. `--workload
+/// course-week` names the only course workload and is accepted (and
+/// ignored) anywhere, so the CI invocation reads naturally. Any other
+/// `--` flag, a missing path, or more than one mode is an error.
+fn parse_args(args: &[String]) -> Result<Mode, String> {
+    let mut modes = Vec::new();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let mode = match arg.as_str() {
+            "--workload" => {
+                let workload = it.next();
+                if workload.map(String::as_str) != Some("course-week") {
+                    return Err(format!("unknown workload {workload:?}"));
+                }
+                continue;
+            }
+            "--check" => Mode::Check,
+            "--trace-out" | "--series-out" => {
+                let path = it
+                    .next()
+                    .filter(|p| !p.starts_with("--"))
+                    .ok_or_else(|| format!("{arg} needs a path"))?
+                    .clone();
+                if arg == "--trace-out" {
+                    Mode::TraceOut(path)
+                } else {
+                    Mode::SeriesOut(path)
+                }
+            }
+            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
+            path => Mode::Bench(path.to_string()),
+        };
+        modes.push(mode);
+    }
+    match modes.len() {
+        0 => Ok(Mode::Bench("BENCH_serve.json".to_string())),
+        1 => Ok(modes.remove(0)),
+        _ => Err(format!("expected one mode or output path, got {modes:?}")),
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // `--workload course-week` names the only workload and is accepted
-    // (and ignored) anywhere in the arg list, so the CI invocation
-    // reads naturally.
-    let mut rest: Vec<&str> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--workload" {
-            i += 1;
-            if args.get(i).map(String::as_str) != Some("course-week") {
-                eprintln!("serve: unknown workload {:?}", args.get(i));
-                std::process::exit(2);
-            }
-        } else {
-            rest.push(&args[i]);
+    match parse_args(&args) {
+        Ok(Mode::Check) => check_mode(),
+        Ok(Mode::TraceOut(out)) => trace_mode(&out),
+        Ok(Mode::SeriesOut(out)) => series_mode(&out),
+        Ok(Mode::Bench(out)) => bench_mode(&out),
+        Err(err) => {
+            eprintln!(
+                "serve: {err}\nusage: serve [--workload course-week] \
+                 [out.json | --check | --trace-out PATH | --series-out PATH]"
+            );
+            std::process::exit(2);
         }
-        i += 1;
     }
-    if rest.first() == Some(&"--check") {
-        check_mode();
-    }
-    if rest.first() == Some(&"--trace-out") {
-        let Some(out) = rest.get(1) else {
-            eprintln!("serve: --trace-out needs a path");
-            std::process::exit(2);
-        };
-        trace_mode(out);
-    }
-    if rest.first() == Some(&"--series-out") {
-        let Some(out) = rest.get(1) else {
-            eprintln!("serve: --series-out needs a path");
-            std::process::exit(2);
-        };
-        series_mode(out);
-    }
-    let out_path = rest
-        .first()
-        .map_or_else(|| "BENCH_serve.json".to_string(), ToString::to_string);
+}
 
+/// The full benchmark: course week cold vs cached, the semester shard
+/// sweep and the health scenario, written to `out_path`.
+fn bench_mode(out_path: &str) {
     let week = course_week();
     let submissions: usize = week.iter().map(Vec::len).sum();
     println!(
@@ -631,21 +683,21 @@ fn main() {
 
     // Determinism gate: the whole week is bit-identical at 1 and 4
     // workers before anything is measured.
-    let reference = week_digest(1);
+    let reference = week_digest(1, None);
     assert_eq!(
         reference,
-        week_digest(4),
+        week_digest(4, None),
         "determinism violated: week digests differ across worker counts"
     );
 
-    let (cold_ms, cold) = time_min_ms(|| serve_week(ServiceConfig::baseline(4)));
+    let (cold_ms, cold) = time_min_ms(|| serve_week(cold_single_node(4)));
     println!(
-        "cold service (no cache):   {cold_ms:>9.1} ms, {} jobs computed",
+        "cold (no cache):           {cold_ms:>9.1} ms, {} jobs computed",
         cold.computed
     );
-    let (cached_ms, cached) = time_min_ms(|| serve_week(ServiceConfig::with_workers(4)));
+    let (cached_ms, cached) = time_min_ms(|| serve_week(ClusterConfig::single_node(4)));
     println!(
-        "cached service:            {cached_ms:>9.1} ms, {} jobs computed",
+        "cached:                    {cached_ms:>9.1} ms, {} jobs computed",
         cached.computed
     );
 
@@ -703,22 +755,15 @@ fn main() {
     // Instrumented pass for the embedded metrics section (untimed);
     // the observer must not perturb any day's report.
     let registry = obs::Registry::new();
-    let service = Service::new(ServiceConfig::with_workers(4));
-    let mut instrumented_bytes = Vec::new();
-    for day in &week {
-        let report = service.run_batch_with_metrics(day, &registry);
-        instrumented_bytes.extend(report.digest().to_le_bytes());
-    }
-    instrumented_bytes.extend(service.cache_digest().to_le_bytes());
     assert_eq!(
         reference,
-        obs::trace::fnv1a(&instrumented_bytes),
+        week_digest(4, Some(&registry)),
         "determinism violated: metrics instrumentation perturbed the week"
     );
     let metrics_json = registry.snapshot().to_json_with_digest();
 
     std::fs::write(
-        &out_path,
+        out_path,
         json(
             cold_ms,
             cached_ms,
@@ -734,4 +779,54 @@ fn main() {
     )
     .expect("write BENCH_serve.json");
     println!("wrote {out_path}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Mode, String> {
+        let args: Vec<String> = args.iter().map(ToString::to_string).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn modes_parse_with_the_workload_flag_anywhere() {
+        assert_eq!(parse(&[]), Ok(Mode::Bench("BENCH_serve.json".into())));
+        assert_eq!(
+            parse(&["/tmp/s.json"]),
+            Ok(Mode::Bench("/tmp/s.json".into()))
+        );
+        assert_eq!(
+            parse(&["--workload", "course-week", "--check"]),
+            Ok(Mode::Check)
+        );
+        assert_eq!(
+            parse(&["--check", "--workload", "course-week"]),
+            Ok(Mode::Check)
+        );
+        assert_eq!(
+            parse(&["--trace-out", "t.json"]),
+            Ok(Mode::TraceOut("t.json".into()))
+        );
+        assert_eq!(
+            parse(&["--series-out", "s.json"]),
+            Ok(Mode::SeriesOut("s.json".into()))
+        );
+    }
+
+    #[test]
+    fn unknown_flags_and_bad_values_are_errors_naming_them() {
+        let err = parse(&["--chek"]).unwrap_err();
+        assert!(err.contains("--chek"), "{err}");
+        let err = parse(&["out.json", "--verbose"]).unwrap_err();
+        assert!(err.contains("--verbose"), "{err}");
+        assert!(parse(&["--workload", "semester"])
+            .unwrap_err()
+            .contains("semester"));
+        assert!(parse(&["--workload"]).is_err());
+        assert!(parse(&["--trace-out"]).unwrap_err().contains("--trace-out"));
+        assert!(parse(&["--series-out", "--check"]).is_err());
+        assert!(parse(&["--check", "out.json"]).is_err(), "two modes");
+    }
 }

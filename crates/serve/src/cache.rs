@@ -6,9 +6,9 @@
 //! independent submissions of the same work share one entry and one
 //! computation.
 //!
-//! The batch scheduler keeps the cache deterministic by mutating it
-//! only from the coordinator in dispatch order (see
-//! [`crate::service`]); the live [`get_or_compute`](ResultCache::get_or_compute)
+//! The cluster keeps its caches deterministic by mutating them only
+//! from the coordinator in dispatch order (see [`crate::cluster`]);
+//! the live [`get_or_compute`](ResultCache::get_or_compute)
 //! path additionally provides *single-flight* semantics for concurrent
 //! identical calls: the first caller computes under an in-flight
 //! claim, later callers block on a condvar and receive the leader's
@@ -30,27 +30,7 @@ pub enum CacheEvent {
     Joined,
 }
 
-impl CacheEvent {
-    /// Stable tag byte, mixed into batch digests.
-    pub fn tag(self) -> u8 {
-        match self {
-            CacheEvent::Hit => 0,
-            CacheEvent::Computed => 1,
-            CacheEvent::Joined => 2,
-        }
-    }
-
-    /// Stable label for traces and reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            CacheEvent::Hit => "hit",
-            CacheEvent::Computed => "computed",
-            CacheEvent::Joined => "joined",
-        }
-    }
-}
-
-/// Monotonic cache counters, all deterministic under the batch
+/// Monotonic cache counters, all deterministic under the cluster
 /// scheduler (they count dispatch-order events, not host timing).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -251,7 +231,7 @@ impl ResultCache {
     }
 
     /// Looks `digest` up; on a hit, bumps the entry to hottest and
-    /// counts the hit. Used by the batch coordinator in dispatch
+    /// counts the hit. Used by the cluster coordinator in dispatch
     /// order, which is what keeps the LRU state deterministic.
     pub fn lookup_touch(&self, digest: u64) -> Option<Arc<JobResult>> {
         let mut inner = self.inner.lock().expect("cache lock");
@@ -297,12 +277,6 @@ impl ResultCache {
         }
         inner.stats.evictions += evicted;
         evicted
-    }
-
-    /// Counts a batch-level join (deduplication onto an earlier job in
-    /// the same batch) without touching entry state.
-    pub fn note_join(&self) {
-        self.inner.lock().expect("cache lock").stats.joins += 1;
     }
 
     /// The live single-flight path: returns the cached result, or

@@ -1,9 +1,10 @@
 //! The sharded cluster: N coordinators behind a consistent-hash ring,
 //! backed by a shared L2 result cache.
 //!
-//! One [`Service`](crate::service::Service) coordinator serves a
-//! course week; a semester of open-loop traffic needs a fleet. The
-//! [`Cluster`] routes every admitted submission to one of N
+//! The [`Cluster`] is the crate's one batch pipeline: a course week runs
+//! on a single shard with the L2 tier switched off
+//! ([`ClusterConfig::single_node`]), a semester of open-loop traffic on
+//! a fleet. It routes every admitted submission to one of N
 //! **coordinator shards** by consistent-hashing its submission digest
 //! over a ring of virtual nodes ([`HashRing`]), so adding a shard
 //! remaps only ~1/N of the key space. Each shard owns its WFQ queue
@@ -31,12 +32,13 @@
 //!   interleaving: the semester digest.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::cache::ResultCache;
+use crate::exec;
 use crate::result::JobResult;
 use crate::sched::{self, Submission};
-use crate::service::{run_pool, RejectReason};
+use crate::spec::{JobSpec, SpecError};
 use crate::workload::{self, Arrival, JobUniverse, SemesterConfig};
 use obs::trace::fnv1a;
 
@@ -120,10 +122,11 @@ pub struct ClusterConfig {
     pub workers_per_shard: usize,
     /// Virtual nodes per shard on the hash ring.
     pub vnodes: u32,
-    /// Per-shard L1 result-cache capacity (entries).
+    /// Per-shard L1 result-cache capacity (entries); 0 disables it.
     pub l1_capacity: usize,
     /// Shared L2 capacity **per shard** — the L2 tier scales with the
-    /// fleet, so total L2 is `shards × l2_capacity_per_shard`.
+    /// fleet, so total L2 is `shards × l2_capacity_per_shard`; 0
+    /// disables it (the single-node course-week shape).
     pub l2_capacity_per_shard: usize,
     /// Cluster-wide admission cap per day (the bounded queue).
     pub queue_capacity: usize,
@@ -147,6 +150,16 @@ impl ClusterConfig {
             queue_capacity: 32_768,
             tenant_cap: 24,
             single_flight: true,
+        }
+    }
+
+    /// The single node the course week is served on: one shard with a
+    /// 512-entry L1 and the shared L2 tier off.
+    pub fn single_node(workers: usize) -> Self {
+        ClusterConfig {
+            l1_capacity: 512,
+            l2_capacity_per_shard: 0,
+            ..ClusterConfig::with_shards(1, workers)
         }
     }
 }
@@ -186,6 +199,27 @@ impl ClusterSource {
             ClusterSource::LocalJoin => "local_join",
             ClusterSource::CrossJoin => "cross_join",
             ClusterSource::Computed => "computed",
+        }
+    }
+}
+
+/// Why a submission was refused at admission.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RejectReason {
+    /// The day's bounded queue was full.
+    QueueFull,
+    /// The tenant hit its per-day admission cap.
+    TenantCap,
+    /// The spec failed validation.
+    InvalidSpec(SpecError),
+}
+
+impl RejectReason {
+    pub(crate) fn tag(self) -> u8 {
+        match self {
+            RejectReason::QueueFull => 0,
+            RejectReason::TenantCap => 1,
+            RejectReason::InvalidSpec(_) => 2,
         }
     }
 }
@@ -417,7 +451,45 @@ impl DayReport {
         s.sort_unstable();
         s
     }
+
+    /// Adds the day's counters and virtual-sojourn histogram to
+    /// `registry` (all [`obs::Domain::Virtual`] — read off the finished
+    /// report, never from host timing, so recording cannot perturb the
+    /// day). Hits count both cache tiers and joins both dedup kinds.
+    pub fn record_metrics(&self, registry: &obs::Registry) {
+        use obs::Domain::Virtual;
+        let s = &self.stats;
+        for (name, value) in [
+            ("serve/submitted", s.submitted),
+            ("serve/accepted", s.accepted),
+            ("serve/rejected/queue_full", s.rejected_queue_full),
+            ("serve/rejected/tenant_cap", s.rejected_tenant_cap),
+            ("serve/rejected/invalid", s.rejected_invalid),
+            ("serve/cache/hits", s.l1_hits + s.l2_hits),
+            ("serve/cache/joins", s.local_joins + s.cross_joins),
+            ("serve/jobs_computed", s.computed),
+            ("serve/cache/evictions", s.l1_evictions + s.l2_evictions),
+        ] {
+            registry.counter(name, Virtual).add(value);
+        }
+        let sojourn = registry.histogram("serve/sojourn_vt", Virtual, &SOJOURN_EDGES);
+        for v in self.sojourns_vt() {
+            sojourn.record(v);
+        }
+    }
 }
+
+/// Edges of the virtual-sojourn histogram (cycles·scale units).
+const SOJOURN_EDGES: [u64; 8] = [
+    100_000,
+    1_000_000,
+    10_000_000,
+    100_000_000,
+    1_000_000_000,
+    10_000_000_000,
+    100_000_000_000,
+    1_000_000_000_000,
+];
 
 // ---------------------------------------------------------------
 // The cluster
@@ -497,7 +569,9 @@ impl Cluster {
 
     /// Serves one day of open-loop arrivals.
     ///
-    /// Phases: cluster-wide admission in arrival order → ring routing →
+    /// Phases: cluster-wide admission in arrival order (queue cap, then
+    /// tenant cap, then spec validation — the first that fails names
+    /// the [`RejectReason`]) → ring routing →
     /// per-shard WFQ planning and L1 resolution → L2 resolution and
     /// single-flight claims in `(shard, dispatch)` order → one parallel
     /// execute pool → fills and outcome assembly, again in
@@ -774,6 +848,40 @@ impl Cluster {
     }
 }
 
+/// Fans `specs` over `workers` scoped threads via a crossbeam channel,
+/// returning results in input order. Workers compute pure results into
+/// their own slots; nothing here observes completion order.
+fn run_pool(specs: &[&JobSpec], workers: usize) -> Vec<Arc<JobResult>> {
+    let workers = workers.max(1).min(specs.len().max(1));
+    let slots: Vec<Mutex<Option<Arc<JobResult>>>> =
+        (0..specs.len()).map(|_| Mutex::new(None)).collect();
+    let (tx, rx) = crossbeam::channel::unbounded::<usize>();
+    for i in 0..specs.len() {
+        tx.send(i).expect("queue open");
+    }
+    drop(tx);
+    let slots_ref = &slots;
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            let rx = rx.clone();
+            scope.spawn(move || {
+                while let Ok(i) = rx.recv() {
+                    let result = Arc::new(exec::execute(specs[i]));
+                    *slots_ref[i].lock().expect("slot lock") = Some(result);
+                }
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("slot lock")
+                .expect("every spec executed")
+        })
+        .collect()
+}
+
 // ---------------------------------------------------------------
 // The semester driver
 // ---------------------------------------------------------------
@@ -969,6 +1077,162 @@ mod tests {
         workload::semester_day(&cfg, &universe, 1)
     }
 
+    fn loop_spec(iterations: u64, threads: u32) -> crate::spec::JobSpec {
+        use crate::spec::{CostSpec, JobSpec, ScheduleSpec};
+        JobSpec::LoopSim {
+            iterations,
+            cost: CostSpec::Uniform { cycles: 100 },
+            schedule: ScheduleSpec::StaticBlock,
+            threads,
+        }
+    }
+
+    /// A closed-loop day: every submission arrives at virtual time 0.
+    fn at_zero(subs: impl IntoIterator<Item = Submission>) -> Vec<Arrival> {
+        subs.into_iter().map(|sub| Arrival { vt: 0, sub }).collect()
+    }
+
+    #[test]
+    fn admission_rejects_past_the_queue_and_tenant_caps() {
+        // Tenant 0 floods; tenants 1-3 each send one job.
+        let arrivals = at_zero(
+            (0..4)
+                .map(|_| Submission::new(0, 1, loop_spec(1_000, 4)))
+                .chain((1..4).map(|t| Submission::new(t, 1, loop_spec(2_000 + t as u64, 4)))),
+        );
+        let capped = ClusterConfig {
+            queue_capacity: 5,
+            tenant_cap: 2,
+            ..ClusterConfig::single_node(2)
+        };
+        let report = Cluster::new(capped).run_day(&arrivals);
+        assert_eq!(report.stats.rejected_tenant_cap, 2, "{:?}", report.stats);
+        assert_eq!(report.stats.rejected_queue_full, 0, "{:?}", report.stats);
+        assert_eq!(report.stats.accepted, 5);
+        assert!(matches!(
+            report.outcomes[2],
+            ClusterOutcome::Rejected(RejectReason::TenantCap)
+        ));
+        // A full queue rejects the tail regardless of tenant.
+        let tiny_queue = ClusterConfig {
+            queue_capacity: 2,
+            ..ClusterConfig::single_node(2)
+        };
+        let report = Cluster::new(tiny_queue).run_day(&arrivals);
+        assert_eq!(report.stats.accepted, 2);
+        assert_eq!(report.stats.rejected_queue_full, 5);
+        assert!(matches!(
+            report.outcomes[6],
+            ClusterOutcome::Rejected(RejectReason::QueueFull)
+        ));
+    }
+
+    #[test]
+    fn invalid_specs_reject_with_the_spec_error_after_the_caps() {
+        use crate::spec::SpecError;
+        // Admission checks the queue, then the tenant cap, then the
+        // spec: a rejected spec does not use up its tenant's cap, and
+        // an invalid spec from a tenant already at its cap is refused
+        // for the cap.
+        let arrivals = at_zero([
+            Submission::new(0, 1, loop_spec(1_000, 0)),
+            Submission::new(0, 1, loop_spec(1_000, 4)),
+            Submission::new(1, 1, loop_spec(1_000, 4)),
+            Submission::new(1, 1, loop_spec(1_000, 0)),
+        ]);
+        let one_each = ClusterConfig {
+            tenant_cap: 1,
+            ..ClusterConfig::single_node(2)
+        };
+        let report = Cluster::new(one_each).run_day(&arrivals);
+        assert!(matches!(
+            report.outcomes[0],
+            ClusterOutcome::Rejected(RejectReason::InvalidSpec(SpecError::BadThreadCount))
+        ));
+        assert!(matches!(report.outcomes[1], ClusterOutcome::Done(_)));
+        assert!(matches!(report.outcomes[2], ClusterOutcome::Done(_)));
+        assert!(matches!(
+            report.outcomes[3],
+            ClusterOutcome::Rejected(RejectReason::TenantCap)
+        ));
+        assert_eq!(report.stats.rejected_invalid, 1);
+        assert_eq!(report.stats.rejected_tenant_cap, 1);
+    }
+
+    #[test]
+    fn identical_jobs_in_one_day_compute_once_and_share_one_arc() {
+        let arrivals = at_zero((0..6).map(|t| Submission::new(t, 1, loop_spec(1_000, 4))));
+        let report = Cluster::new(ClusterConfig::single_node(4)).run_day(&arrivals);
+        assert_eq!(report.stats.computed, 1);
+        assert_eq!(report.stats.local_joins, 5);
+        let results: Vec<&Arc<JobResult>> = report
+            .outcomes
+            .iter()
+            .map(|o| match o {
+                ClusterOutcome::Done(done) => &done.result,
+                ClusterOutcome::Rejected(reason) => panic!("rejected: {reason:?}"),
+            })
+            .collect();
+        assert!(results.iter().all(|r| Arc::ptr_eq(r, results[0])));
+    }
+
+    #[test]
+    fn cold_shape_recomputes_every_job() {
+        let cold = ClusterConfig {
+            l1_capacity: 0,
+            single_flight: false,
+            ..ClusterConfig::single_node(2)
+        };
+        let cluster = Cluster::new(cold);
+        let arrivals = at_zero((0..4).map(|t| Submission::new(t, 1, loop_spec(1_000, 4))));
+        for day in 0..2 {
+            let report = cluster.run_day(&arrivals);
+            assert_eq!(report.stats.computed, 4, "day {day}: {:?}", report.stats);
+            assert_eq!(report.stats.hit_rate(), 0.0);
+        }
+    }
+
+    #[test]
+    fn metrics_and_trace_do_not_perturb_the_days() {
+        let arrivals = tiny_day();
+        let plain = smoke_cluster(2, 2);
+        let observed = smoke_cluster(2, 2);
+        let registry = obs::Registry::new();
+        let tcfg = obs::trace::TraceConfig::default();
+        let mut accepted = 0;
+        // Two days, so a perturbed cache would show on the warm one.
+        for _ in 0..2 {
+            let bare = plain.run_day(&arrivals);
+            let (traced, _) = observed.run_day_traced(&arrivals, &tcfg);
+            traced.record_metrics(&registry);
+            assert_eq!(bare.digest(), traced.digest(), "observer effect");
+            accepted += bare.stats.accepted;
+        }
+        assert_eq!(plain.state_digest(), observed.state_digest());
+        let metric = |name: &str| {
+            registry
+                .snapshot()
+                .metrics
+                .into_iter()
+                .find(|m| m.name == name)
+                .map(|m| m.data)
+        };
+        assert_eq!(
+            metric("serve/accepted"),
+            Some(obs::MetricData::Counter { value: accepted }),
+            "counters add across days"
+        );
+        for name in [
+            "serve/submitted",
+            "serve/cache/hits",
+            "serve/cache/joins",
+            "serve/jobs_computed",
+            "serve/sojourn_vt",
+        ] {
+            assert!(metric(name).is_some(), "missing {name}");
+        }
+    }
+
     #[test]
     fn ring_is_deterministic_and_covers_all_shards() {
         let ring = HashRing::new(8, 128);
@@ -1091,9 +1355,14 @@ mod tests {
         assert_eq!(r1.digest(), r4.digest());
         let json = t1.to_chrome_json();
         assert_eq!(json, t4.to_chrome_json());
-        for needle in ["shard0", "shard1", "cache", "queue_depth"] {
+        for needle in ["shard0", "shard1", "tenant/", "cache", "queue_depth"] {
             assert!(json.contains(needle), "missing {needle}");
         }
+        let analysis = obs::trace::analyze::analyze(&t1);
+        assert!(analysis
+            .lanes
+            .iter()
+            .any(|l| l.busy.iter().any(|(c, t)| c == "job" && *t > 0)));
     }
 
     #[test]

@@ -17,16 +17,18 @@
 //! * [`cache`] — the content-addressed result cache: LRU eviction,
 //!   single-flight deduplication.
 //! * [`exec`] — pure job execution with a per-job metrics registry.
-//! * [`service`] — admission control, the five-phase batch pipeline,
-//!   the worker pool, metrics and trace instrumentation.
+//! * [`cluster`] — the one batch pipeline: admission, consistent-hash
+//!   routing to N coordinator shards with private L1 caches behind a
+//!   shared L2 tier, cross-shard single-flight, the worker pool, and
+//!   metrics and trace instrumentation. The course week runs on one
+//!   shard with the L2 off; a semester on a fleet, with
+//!   shard-count-invariant semantics.
+//! * [`service`] — the live single-submission path: concurrent,
+//!   single-flight and unwind-safe over one result cache.
 //! * [`workload`] — the synthetic course-week trace the serve
 //!   benchmark and CI determinism smoke replay, plus the open-loop
 //!   semester generator (seeded Poisson arrivals, deadline bursts,
 //!   a bounded Zipf job universe).
-//! * [`cluster`] — the consistent-hash sharded cluster: N coordinator
-//!   shards with private L1 caches behind a shared L2 tier and
-//!   cross-shard single-flight, serving whole semesters with
-//!   shard-count-invariant semantics.
 //! * [`telemetry`] — per-day, per-shard time series over a served
 //!   semester (virtual-time windows, shard-invariant admission series
 //!   vs per-shard service series) and the burn-rate/anomaly health
@@ -37,9 +39,10 @@
 //! Everything observable — dispatch order, per-job outcomes, cache
 //! contents, counters, traces — is a pure function of the submitted
 //! workload. Worker threads only execute pure jobs; every ordering
-//! decision and cache mutation happens on the coordinator in WFQ
-//! dispatch order. `BatchReport::digest()` is the oracle CI gates on
-//! across 1/2/4/8-worker runs.
+//! decision and cache mutation happens on the coordinator in
+//! `(shard, dispatch)` order. [`DayReport::digest`] chained with
+//! [`Cluster::state_digest`] is the oracle CI gates on across
+//! 1/2/4/8-worker runs of the course week.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -57,13 +60,11 @@ pub mod workload;
 pub use cache::{CacheEvent, CacheStats, ResultCache};
 pub use cluster::{
     Cluster, ClusterConfig, ClusterOutcome, ClusterSource, ClusterStats, DayReport, HashRing,
-    SemesterReport,
+    RejectReason, SemesterReport,
 };
 pub use result::JobResult;
 pub use sched::{Planned, Submission};
-pub use service::{
-    BatchReport, BatchStats, DoneJob, JobOutcome, RejectReason, Service, ServiceConfig,
-};
+pub use service::Service;
 pub use spec::{CostSpec, JobSpec, MrWorkload, ReductionStyleSpec, ScheduleSpec, SpecError};
 pub use telemetry::{
     collect_day, evaluate_health, health_artefact, health_policy, run_semester_observed,

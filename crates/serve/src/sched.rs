@@ -1,7 +1,7 @@
 //! Weighted fair queueing with virtual-time ticket accounting.
 //!
-//! The scheduler answers one question: given everything admitted this
-//! batch, in what order do jobs dispatch? The answer is a **pure
+//! The scheduler answers one question: given everything a shard
+//! admitted this day, in what order do jobs dispatch? The answer is a **pure
 //! function of the submitted workload** — tenants, tickets, specs —
 //! computed before any worker thread starts, so it is bit-identical
 //! for every worker-pool size. This is the service-layer extension of
@@ -42,7 +42,7 @@ impl Submission {
 /// A scheduled job: the WFQ plan's row for one admitted submission.
 #[derive(Debug, Clone)]
 pub struct Planned {
-    /// Index into the batch's accepted-submission list.
+    /// Index of the submission in the day's arrival list.
     pub submission: usize,
     /// Submitting tenant.
     pub tenant: u32,
@@ -50,7 +50,7 @@ pub struct Planned {
     pub digest: u64,
     /// The spec's deterministic cost estimate.
     pub cost: u64,
-    /// Virtual time the job arrived (0 for closed-loop batches).
+    /// Virtual time the job arrived (0 for the closed-loop course week).
     pub arrival_vt: u64,
     /// Virtual time the job starts on its tenant's clock.
     pub start_vt: u64,
@@ -59,9 +59,8 @@ pub struct Planned {
 }
 
 impl Planned {
-    /// The job's virtual sojourn: finish minus arrival. For
-    /// closed-loop batches (arrival 0) this is just `finish_vt`,
-    /// matching the original service-layer semantics.
+    /// The job's virtual sojourn: finish minus arrival — just
+    /// `finish_vt` when the job arrived at 0.
     pub fn sojourn_vt(&self) -> u64 {
         self.finish_vt.saturating_sub(self.arrival_vt)
     }
@@ -71,21 +70,14 @@ impl Planned {
 /// division keeps resolution (`cost * SCALE / tickets`).
 const VT_SCALE: u64 = 1_000;
 
-/// Computes the WFQ dispatch plan for one batch of admitted
+/// Computes the WFQ dispatch plan for one day of admitted
 /// submissions, returned in dispatch order.
 ///
-/// `accepted` pairs each admitted submission with its index in the
-/// batch's accepted list (indices need not be contiguous — rejected
-/// submissions leave holes).
-pub fn plan(accepted: &[(usize, &Submission)]) -> Vec<Planned> {
-    let timed: Vec<(usize, &Submission, u64)> = accepted.iter().map(|(i, s)| (*i, *s, 0)).collect();
-    plan_arrivals(&timed)
-}
-
-/// Open-loop variant of [`plan`]: each accepted submission carries an
-/// arrival virtual time, and a job cannot start before it arrives —
-/// `start_vt = max(tenant clock, arrival_vt)`. With every arrival at 0
-/// this degenerates to the closed-loop plan. The sojourn of a job is
+/// Each entry is `(arrival index, submission, arrival_vt)`; indices need
+/// not be contiguous — rejected arrivals leave holes. A job cannot
+/// start before it arrives — `start_vt = max(tenant clock,
+/// arrival_vt)` — so with every arrival at 0 (the closed-loop course
+/// week) the plan is pure per-tenant clocks. The sojourn of a job is
 /// `finish_vt - arrival_vt`, so deadline-burst backlogs (a tenant
 /// submitting faster than its ticket share drains) show up as growing
 /// sojourns, exactly the open-loop queueing signal the semester
@@ -134,18 +126,29 @@ mod tests {
         }
     }
 
+    /// Plans `subs` as one closed-loop day: every arrival at vt 0.
+    fn plan_at_zero(subs: &[(usize, &Submission)]) -> Vec<Planned> {
+        let timed: Vec<(usize, &Submission, u64)> = subs.iter().map(|&(i, s)| (i, s, 0)).collect();
+        plan_arrivals(&timed)
+    }
+
     #[test]
     fn plan_is_a_pure_function_of_the_workload() {
         let subs: Vec<Submission> = (0..10)
             .map(|t| Submission::new(t % 3, 1 + t % 2, loop_spec(1_000 + t as u64)))
             .collect();
         let accepted: Vec<(usize, &Submission)> = subs.iter().enumerate().collect();
-        let a = plan(&accepted);
-        let b = plan(&accepted);
+        let a = plan_at_zero(&accepted);
+        let b = plan_at_zero(&accepted);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.submission, y.submission);
             assert_eq!((x.start_vt, x.finish_vt), (y.start_vt, y.finish_vt));
+            assert_eq!(
+                x.sojourn_vt(),
+                x.finish_vt,
+                "arrival 0: sojourn is the finish tag"
+            );
         }
     }
 
@@ -153,8 +156,7 @@ mod tests {
     fn more_tickets_means_earlier_finish_for_equal_work() {
         let heavy = Submission::new(0, 4, loop_spec(10_000));
         let light = Submission::new(1, 1, loop_spec(10_000));
-        let subs = [(0usize, &heavy), (1usize, &light)];
-        let rows = plan(&subs);
+        let rows = plan_at_zero(&[(0, &heavy), (1, &light)]);
         assert_eq!(rows[0].tenant, 0, "4-ticket tenant dispatches first");
         assert!(rows[0].finish_vt < rows[1].finish_vt);
     }
@@ -170,7 +172,7 @@ mod tests {
         let t1 = Submission::new(1, 1, loop_spec(5_000));
         let mut accepted: Vec<(usize, &Submission)> = t0.iter().enumerate().collect();
         accepted.push((3, &t1));
-        let rows = plan(&accepted);
+        let rows = plan_at_zero(&accepted);
         let pos_t1 = rows.iter().position(|p| p.tenant == 1).expect("t1");
         assert!(
             pos_t1 <= 1,
@@ -184,7 +186,7 @@ mod tests {
         // submission index must break the tie deterministically.
         let a = Submission::new(0, 1, loop_spec(1_000));
         let b = Submission::new(1, 1, loop_spec(1_000));
-        let rows = plan(&[(5, &b), (2, &a)]);
+        let rows = plan_at_zero(&[(5, &b), (2, &a)]);
         assert_eq!(rows[0].tenant, 0, "tenant id breaks the finish tie");
         assert_eq!(rows[0].submission, 2);
     }
@@ -192,25 +194,8 @@ mod tests {
     #[test]
     fn zero_tickets_clamp_to_one() {
         let s = Submission::new(0, 0, loop_spec(1_000));
-        let rows = plan(&[(0, &s)]);
+        let rows = plan_at_zero(&[(0, &s)]);
         assert!(rows[0].finish_vt > 0);
-    }
-
-    #[test]
-    fn closed_loop_plan_is_the_zero_arrival_special_case() {
-        let subs: Vec<Submission> = (0..8)
-            .map(|t| Submission::new(t % 3, 1 + t % 2, loop_spec(1_000 + t as u64)))
-            .collect();
-        let accepted: Vec<(usize, &Submission)> = subs.iter().enumerate().collect();
-        let timed: Vec<(usize, &Submission, u64)> =
-            subs.iter().enumerate().map(|(i, s)| (i, s, 0)).collect();
-        let a = plan(&accepted);
-        let b = plan_arrivals(&timed);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.submission, y.submission);
-            assert_eq!((x.start_vt, x.finish_vt), (y.start_vt, y.finish_vt));
-            assert_eq!(y.sojourn_vt(), y.finish_vt);
-        }
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! 26 teams (13 per section × 2 sections) repeatedly submit
 //! near-identical patternlet and assignment runs against shared
 //! Raspberry Pi hardware. [`course_week`] reproduces one week of that
-//! traffic as five daily batches, with exactly the reuse structure
+//! traffic as five closed-loop days (every arrival at virtual time 0,
+//! served by a one-shard cluster), with exactly the reuse structure
 //! that makes content-addressed caching pay:
 //!
 //! * every team runs the **day's patternlet** (same spec for the whole
@@ -82,10 +83,10 @@ fn weekly_reduction() -> JobSpec {
     }
 }
 
-/// One week of course traffic: five daily batches over [`TEAMS`]
-/// tenants. Team numbers are the tenant ids; ticket weights come from
-/// [`tickets`].
-pub fn course_week() -> Vec<Vec<Submission>> {
+/// One week of course traffic: five days of closed-loop arrivals (all
+/// at virtual time 0) over [`TEAMS`] tenants. Team numbers are the
+/// tenant ids; ticket weights come from [`tickets`].
+pub fn course_week() -> Vec<Vec<Arrival>> {
     let mut week = Vec::with_capacity(DAYS);
     for day in 0..DAYS {
         let mut batch = Vec::new();
@@ -179,7 +180,12 @@ pub fn course_week() -> Vec<Vec<Submission>> {
                 _ => {}
             }
         }
-        week.push(batch);
+        week.push(
+            batch
+                .into_iter()
+                .map(|sub| Arrival { vt: 0, sub })
+                .collect(),
+        );
     }
     week
 }
@@ -419,12 +425,60 @@ pub struct JobUniverse {
     cumulative: Vec<u64>,
 }
 
+// The value ranges `JobUniverse::draw_spec` picks from, one constant
+// per independent draw, so the universe bound is derived from them.
+const SCHEDULES: [ScheduleSpec; 5] = [
+    ScheduleSpec::StaticBlock,
+    ScheduleSpec::StaticChunk { chunk: 16 },
+    ScheduleSpec::Dynamic { chunk: 16 },
+    ScheduleSpec::Dynamic { chunk: 32 },
+    ScheduleSpec::Guided { min_chunk: 8 },
+];
+const THREADS: [u32; 3] = [2, 4, 8];
+const LOOP_SIZES: usize = 64;
+const UNIFORM_COSTS: usize = 8;
+const LINEAR_BASES: usize = 6;
+const LINEAR_SLOPES: usize = 3;
+const ALTERNATING_EVENS: usize = 4;
+const ALTERNATING_ODDS: usize = 4;
+const REDUCTION_SIZES: usize = 32;
+const REDUCTION_COSTS: usize = 8;
+const REDUCTION_STYLES: [ReductionStyleSpec; 3] = [
+    ReductionStyleSpec::Tree,
+    ReductionStyleSpec::SerialCombine,
+    ReductionStyleSpec::AtomicPerIteration,
+];
+const GREP_PATTERNS: [&str; 4] = ["race", "parallel", "thread", "cache"];
+const MR_DOC_SIZES: usize = 6;
+const MR_SEEDS: usize = 40;
+const MR_MAP_WORKERS: [u32; 2] = [2, 4];
+
+/// The number of distinct specs a [`JobUniverse`] can hold: every loop,
+/// reduction and map-reduce shape its generator can draw (40,320 +
+/// 2,304 + 2,400 = 45,024).
+pub const MAX_UNIQUE_JOBS: usize = LOOP_SIZES
+    * (UNIFORM_COSTS + LINEAR_BASES * LINEAR_SLOPES + ALTERNATING_EVENS * ALTERNATING_ODDS)
+    * SCHEDULES.len()
+    * THREADS.len()
+    + REDUCTION_SIZES * REDUCTION_COSTS * THREADS.len() * REDUCTION_STYLES.len()
+    + (GREP_PATTERNS.len() + 1) * MR_DOC_SIZES * MR_SEEDS * MR_MAP_WORKERS.len();
+
 impl JobUniverse {
     /// Builds `unique` distinct specs from `seed`. Only cheap kinds
     /// (loop/reduction/map-reduce simulations) — the semester is an
     /// arrival-process benchmark, not a compute one.
+    ///
+    /// # Panics
+    ///
+    /// If `unique` exceeds [`MAX_UNIQUE_JOBS`]: the generator could
+    /// never find that many distinct specs.
     pub fn new(seed: u64, unique: usize) -> Self {
         use std::collections::HashSet;
+        assert!(
+            unique <= MAX_UNIQUE_JOBS,
+            "JobUniverse::new: {unique} unique jobs requested, but MAX_UNIQUE_JOBS is \
+             {MAX_UNIQUE_JOBS}"
+        );
         let mut rng = StreamSeeder::new(seed).stream(u64::MAX);
         let mut specs = Vec::with_capacity(unique);
         let mut seen: HashSet<u64> = HashSet::with_capacity(unique);
@@ -446,57 +500,46 @@ impl JobUniverse {
     }
 
     fn draw_spec(rng: &mut Xoshiro256) -> JobSpec {
-        let schedules = [
-            ScheduleSpec::StaticBlock,
-            ScheduleSpec::StaticChunk { chunk: 16 },
-            ScheduleSpec::Dynamic { chunk: 16 },
-            ScheduleSpec::Dynamic { chunk: 32 },
-            ScheduleSpec::Guided { min_chunk: 8 },
-        ];
         match rng.next_below(20) {
             // 60%: loop patternlets.
             0..=11 => JobSpec::LoopSim {
-                iterations: 1_000 + 250 * rng.next_below(64) as u64,
+                iterations: 1_000 + 250 * rng.next_below(LOOP_SIZES) as u64,
                 cost: match rng.next_below(3) {
                     0 => CostSpec::Uniform {
-                        cycles: 60 + 20 * rng.next_below(8) as u64,
+                        cycles: 60 + 20 * rng.next_below(UNIFORM_COSTS) as u64,
                     },
                     1 => CostSpec::Linear {
-                        base: 40 + 10 * rng.next_below(6) as u64,
-                        slope: 1 + rng.next_below(3) as u64,
+                        base: 40 + 10 * rng.next_below(LINEAR_BASES) as u64,
+                        slope: 1 + rng.next_below(LINEAR_SLOPES) as u64,
                     },
                     _ => CostSpec::Alternating {
-                        even: 50 + 10 * rng.next_below(4) as u64,
-                        odd: 200 + 50 * rng.next_below(4) as u64,
+                        even: 50 + 10 * rng.next_below(ALTERNATING_EVENS) as u64,
+                        odd: 200 + 50 * rng.next_below(ALTERNATING_ODDS) as u64,
                     },
                 },
-                schedule: schedules[rng.next_below(5)],
-                threads: [2, 4, 8][rng.next_below(3)],
+                schedule: SCHEDULES[rng.next_below(SCHEDULES.len())],
+                threads: THREADS[rng.next_below(THREADS.len())],
             },
             // 25%: reduction exercises.
             12..=16 => JobSpec::ReductionSim {
-                iterations: 500 + 125 * rng.next_below(32) as u64,
-                iter_cost: 60 + 15 * rng.next_below(8) as u64,
-                threads: [2, 4, 8][rng.next_below(3)],
-                style: [
-                    ReductionStyleSpec::Tree,
-                    ReductionStyleSpec::SerialCombine,
-                    ReductionStyleSpec::AtomicPerIteration,
-                ][rng.next_below(3)],
+                iterations: 500 + 125 * rng.next_below(REDUCTION_SIZES) as u64,
+                iter_cost: 60 + 15 * rng.next_below(REDUCTION_COSTS) as u64,
+                threads: THREADS[rng.next_below(THREADS.len())],
+                style: REDUCTION_STYLES[rng.next_below(REDUCTION_STYLES.len())],
             },
             // 15%: map-reduce reading exercises.
             _ => JobSpec::MapReduce {
+                // One in four reading exercises is a grep.
                 workload: if rng.next_below(4) == 0 {
                     MrWorkload::Grep {
-                        pattern: ["race", "parallel", "thread", "cache"][rng.next_below(4)]
-                            .to_string(),
+                        pattern: GREP_PATTERNS[rng.next_below(GREP_PATTERNS.len())].to_string(),
                     }
                 } else {
                     MrWorkload::WordCount
                 },
-                docs: 6 + 2 * rng.next_below(6) as u32,
-                seed: 2_000 + rng.next_below(40) as u64,
-                map_workers: [2, 4][rng.next_below(2)],
+                docs: 6 + 2 * rng.next_below(MR_DOC_SIZES) as u32,
+                seed: 2_000 + rng.next_below(MR_SEEDS) as u64,
+                map_workers: MR_MAP_WORKERS[rng.next_below(MR_MAP_WORKERS.len())],
                 reduce_workers: 2,
             },
         }
@@ -583,8 +626,12 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.len(), y.len());
             for (sa, sb) in x.iter().zip(y) {
-                assert_eq!(sa.spec, sb.spec);
-                assert_eq!((sa.tenant, sa.tickets), (sb.tenant, sb.tickets));
+                assert_eq!(sa.sub.spec, sb.sub.spec);
+                assert_eq!(
+                    (sa.sub.tenant, sa.sub.tickets),
+                    (sb.sub.tenant, sb.sub.tickets)
+                );
+                assert_eq!((sa.vt, sb.vt), (0, 0), "the course week is closed-loop");
             }
         }
         let total: usize = a.iter().map(Vec::len).sum();
@@ -594,7 +641,7 @@ mod tests {
     #[test]
     fn reuse_structure_leaves_few_unique_specs() {
         let week = course_week();
-        let unique: HashSet<u64> = week.iter().flatten().map(|s| s.spec.digest()).collect();
+        let unique: HashSet<u64> = week.iter().flatten().map(|a| a.sub.spec.digest()).collect();
         let total: usize = week.iter().map(Vec::len).sum();
         // The workload's point: far more submissions than distinct jobs.
         assert_eq!(unique.len(), 43, "unique spec count changed");
@@ -603,17 +650,18 @@ mod tests {
 
     #[test]
     fn every_spec_in_the_trace_validates() {
-        for sub in course_week().iter().flatten() {
-            assert!(sub.spec.validate().is_ok(), "{:?}", sub.spec);
+        for arrival in course_week().iter().flatten() {
+            let spec = &arrival.sub.spec;
+            assert!(spec.validate().is_ok(), "{spec:?}");
         }
     }
 
     #[test]
     fn all_tenants_and_weights_appear() {
         let week = course_week();
-        let tenants: HashSet<u32> = week.iter().flatten().map(|s| s.tenant).collect();
+        let tenants: HashSet<u32> = week.iter().flatten().map(|a| a.sub.tenant).collect();
         assert_eq!(tenants.len(), TEAMS as usize);
-        let weights: HashSet<u32> = week.iter().flatten().map(|s| s.tickets).collect();
+        let weights: HashSet<u32> = week.iter().flatten().map(|a| a.sub.tickets).collect();
         assert_eq!(weights, HashSet::from([1, 2, 3]));
     }
 
@@ -658,6 +706,19 @@ mod tests {
         let top = counts.values().max().copied().unwrap_or(0);
         assert!(top > 500, "head not hot enough: {top}/10000");
         assert!(counts.len() > 100, "tail collapsed: {}", counts.len());
+    }
+
+    #[test]
+    fn universe_bound_is_reachable() {
+        let u = JobUniverse::new(7, MAX_UNIQUE_JOBS);
+        assert_eq!(u.len(), MAX_UNIQUE_JOBS);
+        assert_eq!(MAX_UNIQUE_JOBS, 45_024);
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_UNIQUE_JOBS is 45024")]
+    fn universe_past_the_bound_fails_fast() {
+        JobUniverse::new(7, MAX_UNIQUE_JOBS + 1);
     }
 
     #[test]

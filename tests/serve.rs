@@ -1,33 +1,40 @@
 //! Integration tests for the serve layer: the acceptance criteria of
-//! the service determinism contract, cache correctness property tests,
-//! and the single-flight concurrent-duplicate check.
+//! the cluster determinism contract on the course week and the
+//! semester, cache correctness property tests, and the live path's
+//! single-flight concurrent-duplicate check.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use serve::workload::course_week;
+use serve::cluster::{self, Cluster, ClusterConfig, ClusterOutcome, HashRing};
+use serve::workload::{course_week, Arrival, SemesterConfig};
 use serve::{
     CacheEvent, CostSpec, JobSpec, MrWorkload, ReductionStyleSpec, ScheduleSpec, Service,
-    ServiceConfig, Submission,
+    Submission,
 };
 
-/// The headline acceptance criterion: the full course week — report
-/// digests, dispatch orders and final cache state — is bit-identical
-/// across 1/2/4/8 workers.
+/// The course-week cluster: a single node with `workers` workers.
+fn week_cluster(workers: usize) -> Cluster {
+    Cluster::new(ClusterConfig::single_node(workers))
+}
+
+/// The headline acceptance criterion: the full course week — day
+/// report digests, dispatch orders and final cache state — is
+/// bit-identical across 1/2/4/8 workers.
 #[test]
 fn course_week_is_bit_identical_across_worker_counts() {
     let week = course_week();
     let serve_all = |workers: usize| -> (Vec<u64>, Vec<Vec<usize>>, u64) {
-        let service = Service::new(ServiceConfig::with_workers(workers));
+        let cluster = week_cluster(workers);
         let mut digests = Vec::new();
         let mut dispatches = Vec::new();
         for day in &week {
-            let report = service.run_batch(day);
+            let report = cluster.run_day(day);
             digests.push(report.digest());
-            dispatches.push(report.dispatch.clone());
+            dispatches.push(report.dispatch.iter().map(|&(_, i)| i).collect());
         }
-        (digests, dispatches, service.cache_digest())
+        (digests, dispatches, cluster.state_digest())
     };
     let reference = serve_all(1);
     for workers in [2, 4, 8] {
@@ -39,16 +46,53 @@ fn course_week_is_bit_identical_across_worker_counts() {
 /// clears 50% (the workload's reuse structure actually gives ~89%).
 #[test]
 fn course_week_hit_rate_is_at_least_half() {
-    let service = Service::new(ServiceConfig::default());
+    let cluster = week_cluster(4);
     let mut accepted = 0;
     let mut reused = 0;
     for day in course_week() {
-        let report = service.run_batch(&day);
-        accepted += report.stats.accepted;
-        reused += report.stats.hits + report.stats.joins;
+        let s = cluster.run_day(&day).stats;
+        accepted += s.accepted;
+        reused += s.l1_hits + s.l2_hits + s.local_joins + s.cross_joins;
     }
     let rate = reused as f64 / accepted as f64;
     assert!(rate >= 0.5, "hit rate {rate:.3} below the acceptance bar");
+}
+
+/// The course week's committed BENCH_serve.json figures, bit for bit:
+/// the metrics snapshot digest, the source split and the
+/// virtual-sojourn percentiles.
+#[test]
+fn course_week_reproduces_the_single_node_figures() {
+    let cluster = week_cluster(4);
+    let registry = obs::Registry::new();
+    let mut sojourns = Vec::new();
+    for day in course_week() {
+        let report = cluster.run_day(&day);
+        report.record_metrics(&registry);
+        sojourns.extend(report.sojourns_vt());
+    }
+    let snapshot = registry.snapshot();
+    assert_eq!(snapshot.digest(), 0x68c2_e773_4f88_8470);
+    let counter = |name: &str| match snapshot.metrics.iter().find(|m| m.name == name) {
+        Some(obs::MetricSample {
+            data: obs::MetricData::Counter { value },
+            ..
+        }) => *value,
+        other => panic!("{name}: {other:?}"),
+    };
+    let [accepted, hits, joins, computed] = [
+        "serve/accepted",
+        "serve/cache/hits",
+        "serve/cache/joins",
+        "serve/jobs_computed",
+    ]
+    .map(counter);
+    assert_eq!((accepted, hits, joins, computed), (396, 130, 223, 43));
+    let hit_rate = (hits + joins) as f64 / accepted as f64;
+    assert_eq!(format!("{hit_rate:.4}"), "0.8914");
+    sojourns.sort_unstable();
+    let pct = |p: f64| sojourns[(p * (sojourns.len() - 1) as f64).round() as usize];
+    assert_eq!((pct(0.50), pct(0.99)), (544_933_332, 10_650_836_000));
 }
 
 /// Single-flight under real concurrency: eight threads submit the
@@ -56,7 +100,7 @@ fn course_week_hit_rate_is_at_least_half() {
 /// rest join or hit, and every caller gets the same allocation.
 #[test]
 fn concurrent_duplicate_submissions_compute_once() {
-    let service = Service::new(ServiceConfig::default());
+    let service = Service::new(512);
     let spec = JobSpec::Replication {
         replicates: 2,
         num_students: 24,
@@ -98,7 +142,7 @@ fn concurrent_duplicate_submissions_compute_once() {
 /// the cold computation's.
 #[test]
 fn cache_hit_replays_the_cold_bytes_exactly() {
-    let service = Service::new(ServiceConfig::default());
+    let service = Service::new(512);
     let spec = JobSpec::MapReduce {
         workload: MrWorkload::InvertedIndex,
         docs: 10,
@@ -223,45 +267,57 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Cache-hit byte-identity as a property: for any batch of small
-    /// loop jobs, serving it twice yields results byte-identical to a
-    /// cold recompute on a cache-less service — payloads and embedded
-    /// metrics snapshots both.
+    /// Cache-hit byte-identity as a property: for any day of small loop
+    /// jobs — arriving at any virtual times, on 1-3 shards with or
+    /// without the L2 tier — serving it twice yields results
+    /// byte-identical to a cold recompute on a cache-less cluster:
+    /// payloads and embedded metrics snapshots both.
     #[test]
     fn cache_hits_are_byte_identical_to_cold_recomputes(
         jobs in prop::collection::vec(
-            (100u64..3_000, 0u8..3, 1u64..200, 0u64..50, 0u8..4, 1u32..64, 1u32..8),
+            (
+                (100u64..3_000, 0u8..3, 1u64..200, 0u64..50, 0u8..4, 1u32..64, 1u32..8),
+                0u64..1_000,
+            ),
             1..8,
         ),
+        shards in 1u32..4,
+        l2 in prop::bool::ANY,
     ) {
-        let subs: Vec<Submission> = jobs
+        let arrivals: Vec<Arrival> = jobs
             .iter()
             .enumerate()
-            .map(|(i, &f)| Submission::new(i as u32 % 3, 1 + i as u32 % 2, loop_spec(f)))
+            .map(|(i, &(fields, vt))| Arrival {
+                vt: vt * 1_000_000,
+                sub: Submission::new(i as u32 % 3, 1 + i as u32 % 2, loop_spec(fields)),
+            })
             .collect();
-        let cached = Service::new(ServiceConfig::default());
-        let first = cached.run_batch(&subs);
-        let second = cached.run_batch(&subs);
+        let cached = Cluster::new(ClusterConfig {
+            l2_capacity_per_shard: if l2 { 64 } else { 0 },
+            ..ClusterConfig::with_shards(shards, 2)
+        });
+        let first = cached.run_day(&arrivals);
+        let second = cached.run_day(&arrivals);
         prop_assert_eq!(second.stats.computed, 0, "second pass must be all hits");
-        let cold = Service::new(ServiceConfig::baseline(2));
-        let cold_report = cold.run_batch(&subs);
-        for (warm, cold) in second.outcomes.iter().zip(&cold_report.outcomes) {
-            match (warm, cold) {
-                (serve::JobOutcome::Done(w), serve::JobOutcome::Done(c)) => {
+        let cold = Cluster::new(ClusterConfig {
+            l1_capacity: 0,
+            l2_capacity_per_shard: 0,
+            single_flight: false,
+            ..ClusterConfig::with_shards(shards, 2)
+        })
+        .run_day(&arrivals);
+        prop_assert_eq!(cold.stats.computed, cold.stats.accepted);
+        for ((a, b), c) in first.outcomes.iter().zip(&second.outcomes).zip(&cold.outcomes) {
+            match (a, b, c) {
+                (ClusterOutcome::Done(x), ClusterOutcome::Done(w), ClusterOutcome::Done(c)) => {
                     prop_assert_eq!(&w.result.payload, &c.result.payload);
                     prop_assert_eq!(&w.result.metrics_json, &c.result.metrics_json);
                     prop_assert_eq!(w.result.digest(), c.result.digest());
+                    // And the first pass's computed results are what
+                    // got cached.
+                    prop_assert_eq!(x.result.digest(), w.result.digest());
                 }
                 _ => prop_assert!(false, "all submissions valid, none should reject"),
-            }
-        }
-        // And the first pass's computed results are what got cached.
-        for (a, b) in first.outcomes.iter().zip(&second.outcomes) {
-            match (a, b) {
-                (serve::JobOutcome::Done(x), serve::JobOutcome::Done(y)) => {
-                    prop_assert_eq!(x.result.digest(), y.result.digest());
-                }
-                _ => prop_assert!(false, "unexpected rejection"),
             }
         }
     }
@@ -272,22 +328,19 @@ proptest! {
 #[test]
 fn computed_jobs_equal_distinct_digests() {
     let week = course_week();
-    let unique: HashSet<u64> = week.iter().flatten().map(|s| s.spec.digest()).collect();
-    let service = Service::new(ServiceConfig::default());
+    let unique: HashSet<u64> = week.iter().flatten().map(|a| a.sub.spec.digest()).collect();
+    let cluster = week_cluster(4);
     let computed: u64 = week
         .iter()
-        .map(|day| service.run_batch(day).stats.computed)
+        .map(|day| cluster.run_day(day).stats.computed)
         .sum();
     assert_eq!(computed, unique.len() as u64);
 }
 
 // ---------------------------------------------------------------
-// Cluster layer: consistent-hash ring properties and the semester
-// determinism matrix.
+// Consistent-hash ring properties and the semester determinism
+// matrix.
 // ---------------------------------------------------------------
-
-use serve::cluster::{self, Cluster, ClusterConfig, HashRing};
-use serve::workload::SemesterConfig;
 
 /// Ring balance: 20k keys over 8 shards land within ±20% of uniform
 /// for every shard — the virtual nodes do their smoothing job.
