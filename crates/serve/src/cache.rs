@@ -372,10 +372,7 @@ mod tests {
     use super::*;
 
     fn result(tag: &str) -> JobResult {
-        JobResult {
-            payload: tag.to_string(),
-            metrics_json: format!("{{\"tag\": \"{tag}\"}}"),
-        }
+        JobResult::new(tag.to_string(), format!("{{\"tag\": \"{tag}\"}}"))
     }
 
     #[test]

@@ -561,9 +561,9 @@ impl Cluster {
     /// the same exercise from different tenants spreads — the spread
     /// the shared L2 and cross-shard single-flight exist to dedup.
     pub fn route_key(sub: &Submission) -> u64 {
-        let mut bytes = Vec::with_capacity(12);
-        bytes.extend(sub.tenant.to_le_bytes());
-        bytes.extend(sub.spec.digest().to_le_bytes());
+        let mut bytes = [0u8; 12];
+        bytes[..4].copy_from_slice(&sub.tenant.to_le_bytes());
+        bytes[4..].copy_from_slice(&sub.spec.digest().to_le_bytes());
         fnv1a(&bytes)
     }
 

@@ -203,10 +203,7 @@ pub fn execute(spec: &JobSpec) -> JobResult {
             text
         }
     };
-    JobResult {
-        metrics_json: registry.snapshot().to_json_with_digest(),
-        payload,
-    }
+    JobResult::new(payload, registry.snapshot().to_json_with_digest())
 }
 
 fn render_counts(title: &str, results: &[(String, u64)]) -> String {

@@ -470,14 +470,15 @@ impl JobUniverse {
     ///
     /// # Panics
     ///
-    /// If `unique` exceeds [`MAX_UNIQUE_JOBS`]: the generator could
-    /// never find that many distinct specs.
+    /// If `unique` is outside `1..=`[`MAX_UNIQUE_JOBS`]: an empty
+    /// universe has nothing to sample, and the generator could never
+    /// find more distinct specs than that.
     pub fn new(seed: u64, unique: usize) -> Self {
         use std::collections::HashSet;
         assert!(
-            unique <= MAX_UNIQUE_JOBS,
-            "JobUniverse::new: {unique} unique jobs requested, but MAX_UNIQUE_JOBS is \
-             {MAX_UNIQUE_JOBS}"
+            (1..=MAX_UNIQUE_JOBS).contains(&unique),
+            "JobUniverse::new: {unique} unique jobs requested, outside 1..=MAX_UNIQUE_JOBS \
+             (MAX_UNIQUE_JOBS is {MAX_UNIQUE_JOBS})"
         );
         let mut rng = StreamSeeder::new(seed).stream(u64::MAX);
         let mut specs = Vec::with_capacity(unique);
@@ -713,12 +714,19 @@ mod tests {
         let u = JobUniverse::new(7, MAX_UNIQUE_JOBS);
         assert_eq!(u.len(), MAX_UNIQUE_JOBS);
         assert_eq!(MAX_UNIQUE_JOBS, 45_024);
+        assert_eq!(JobUniverse::new(7, 1).len(), 1);
     }
 
     #[test]
     #[should_panic(expected = "MAX_UNIQUE_JOBS is 45024")]
     fn universe_past_the_bound_fails_fast() {
         JobUniverse::new(7, MAX_UNIQUE_JOBS + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "0 unique jobs requested, outside 1..=MAX_UNIQUE_JOBS")]
+    fn empty_universe_fails_fast() {
+        JobUniverse::new(7, 0);
     }
 
     #[test]

@@ -264,6 +264,17 @@ proptest! {
     }
 }
 
+/// The result digest recomputed from the fields: FNV-1a over each
+/// field prefixed by its little-endian `u64` length.
+fn reference_result_digest(result: &serve::JobResult) -> u64 {
+    let mut bytes = Vec::new();
+    for field in [&result.payload, &result.metrics_json] {
+        bytes.extend((field.len() as u64).to_le_bytes());
+        bytes.extend(field.as_bytes());
+    }
+    obs::trace::fnv1a(&bytes)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -310,6 +321,12 @@ proptest! {
         for ((a, b), c) in first.outcomes.iter().zip(&second.outcomes).zip(&cold.outcomes) {
             match (a, b, c) {
                 (ClusterOutcome::Done(x), ClusterOutcome::Done(w), ClusterOutcome::Done(c)) => {
+                    // The digest stored at construction equals the
+                    // formula recomputed from the fields, whatever
+                    // source served the result.
+                    for done in [x, w, c] {
+                        prop_assert_eq!(done.result.digest(), reference_result_digest(&done.result));
+                    }
                     prop_assert_eq!(&w.result.payload, &c.result.payload);
                     prop_assert_eq!(&w.result.metrics_json, &c.result.metrics_json);
                     prop_assert_eq!(w.result.digest(), c.result.digest());
