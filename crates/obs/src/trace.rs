@@ -513,12 +513,44 @@ impl Trace {
 /// fingerprint (the same algorithm fingerprints metrics snapshots and
 /// replication reports).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in bytes {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    let mut h = Fnv1a::default();
+    h.update(bytes);
+    h.finish()
+}
+
+/// Streaming [`fnv1a`]: the bytes may arrive in any number of pieces
+/// and give the same digest as one call over their concatenation. As a
+/// [`std::fmt::Write`] sink, `write!` hashes formatted text without
+/// building a `String`.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Fnv1a {
+    /// Folds `bytes` into the digest.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 ^= byte as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    /// The digest of everything fed so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 fn escape(s: &str) -> String {
@@ -539,6 +571,17 @@ fn escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn streaming_fnv_matches_the_one_shot_digest() {
+        use std::fmt::Write;
+        let mut h = Fnv1a::default();
+        let (var, lane) = (0, "x");
+        write!(h, "race v{var} {lane}").unwrap();
+        h.update(b"!");
+        assert_eq!(h.finish(), fnv1a(b"race v0 x!"));
+        assert_eq!(Fnv1a::default().finish(), fnv1a(b""));
+    }
 
     #[test]
     fn merge_orders_by_time_then_lane_then_seq() {

@@ -16,13 +16,19 @@
 //! Either search certifies a program **race-free over the explored
 //! space** (no race reports, no wrong outcomes) or produces a
 //! [`Counterexample`] replayable from its seed / choice string.
+//!
+//! Both searches run every schedule traceless: races, the observed
+//! value and correctness do not depend on the trace recorder. Only the
+//! schedule that becomes the report's counterexample is re-run traced,
+//! so its `trace_digest` is the replay oracle.
 
 use std::collections::BTreeSet;
+use std::ops::ControlFlow;
 
 use stats::rng::StreamSeeder;
 
 use super::program::{dependent, Program};
-use super::vm::{run_random, Execution, Vm};
+use super::vm::{replay, run_random, run_random_traceless, Execution, Vm};
 
 /// How much schedule space a search may spend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,7 +114,23 @@ impl StrategyReport {
         self.race_runs == 0 && self.lost_update_runs == 0
     }
 
-    fn absorb(&mut self, seed: Option<u64>, exec: &Execution) {
+    /// An empty report on `program`.
+    fn new(program: &Program, space_exhausted: bool) -> Self {
+        StrategyReport {
+            program: program.name.clone(),
+            schedules: 0,
+            race_runs: 0,
+            lost_update_runs: 0,
+            distinct_races: Vec::new(),
+            counterexample: None,
+            space_exhausted,
+        }
+    }
+
+    /// Counts the traceless run `exec`. When it is the first buggy
+    /// schedule, `traced` re-runs it with the recorder on and that run
+    /// becomes the counterexample.
+    fn absorb(&mut self, seed: Option<u64>, exec: &Execution, traced: impl FnOnce() -> Execution) {
         self.schedules += 1;
         if !exec.races.is_empty() {
             self.race_runs += 1;
@@ -116,13 +138,14 @@ impl StrategyReport {
         if !exec.is_correct() {
             self.lost_update_runs += 1;
         }
-        for sig in exec.race_signatures() {
+        for race in &exec.races {
+            let sig = race.signature();
             if let Err(at) = self.distinct_races.binary_search(&sig) {
                 self.distinct_races.insert(at, sig);
             }
         }
         if self.counterexample.is_none() && (!exec.races.is_empty() || !exec.is_correct()) {
-            self.counterexample = Some(Counterexample::from_execution(seed, exec));
+            self.counterexample = Some(Counterexample::from_execution(seed, &traced()));
         }
     }
 }
@@ -131,19 +154,11 @@ impl StrategyReport {
 /// seeded by `StreamSeeder::new(master_seed).split_seed(i)`.
 pub fn fuzz(program: &Program, master_seed: u64, budget: Budget) -> StrategyReport {
     let seeder = StreamSeeder::new(master_seed);
-    let mut report = StrategyReport {
-        program: program.name.clone(),
-        schedules: 0,
-        race_runs: 0,
-        lost_update_runs: 0,
-        distinct_races: Vec::new(),
-        counterexample: None,
-        space_exhausted: false,
-    };
+    let mut report = StrategyReport::new(program, false);
     for i in 0..budget.schedules {
         let seed = seeder.split_seed(i as u64);
-        let exec = run_random(program, seed);
-        report.absorb(Some(seed), &exec);
+        let exec = run_random_traceless(program, seed);
+        report.absorb(Some(seed), &exec, || run_random(program, seed));
     }
     report
 }
@@ -153,61 +168,71 @@ pub fn fuzz(program: &Program, master_seed: u64, budget: Budget) -> StrategyRepo
 /// walk finishes within budget, `space_exhausted` is set and a
 /// [`StrategyReport::certified`] verdict covers the whole space.
 pub fn systematic(program: &Program, budget: Budget) -> StrategyReport {
-    let mut report = StrategyReport {
-        program: program.name.clone(),
-        schedules: 0,
-        race_runs: 0,
-        lost_update_runs: 0,
-        distinct_races: Vec::new(),
-        counterexample: None,
-        space_exhausted: true,
-    };
-    let vm = Vm::new(program, false);
-    dfs(&vm, BTreeSet::new(), &mut report, budget.schedules);
+    let mut report = StrategyReport::new(program, true);
+    // A break has already marked the space as not exhausted.
+    let _ = dfs(
+        Vm::new(program, false),
+        BTreeSet::new(),
+        &mut report,
+        budget.schedules,
+    );
     report
 }
 
-fn dfs(vm: &Vm<'_>, sleep: BTreeSet<usize>, report: &mut StrategyReport, budget: usize) {
-    if report.schedules >= budget {
-        report.space_exhausted = false;
-        return;
-    }
+/// Explores the subtree under `vm`, stopping the whole walk at the
+/// first leaf past the budget. Only such a leaf marks the space as not
+/// exhausted: a branch whose lanes all sleep holds no leaf.
+fn dfs(
+    vm: Vm<'_>,
+    sleep: BTreeSet<usize>,
+    report: &mut StrategyReport,
+    budget: usize,
+) -> ControlFlow<()> {
     let enabled = vm.enabled();
     if enabled.is_empty() {
-        let (exec, _) = vm.fork().finish();
-        if !exec.races.is_empty() || !exec.is_correct() {
-            // The walk runs traceless for speed; replay interesting
-            // leaves traced so a counterexample carries its digest.
-            let traced = super::vm::replay(vm.program(), &exec.choices);
-            report.absorb(None, &traced);
-        } else {
-            report.absorb(None, &exec);
-        }
-        return;
-    }
-    let mut sleeping = sleep;
-    for &lane in &enabled {
         if report.schedules >= budget {
             report.space_exhausted = false;
-            return;
+            return ControlFlow::Break(());
         }
+        // The walk runs traceless; only the leaf that becomes the
+        // counterexample is replayed traced, for its digest.
+        let program = vm.program();
+        let (exec, _) = vm.finish();
+        report.absorb(None, &exec, || replay(program, &exec.choices));
+        return ControlFlow::Continue(());
+    }
+    let mut sleeping = sleep;
+    let mut vm = Some(vm);
+    for (idx, &lane) in enabled.iter().enumerate() {
         if sleeping.contains(&lane) {
             continue;
         }
-        let executed = *vm.next_op(lane).expect("enabled lane has a next op");
+        let parent = vm.as_ref().expect("parent kept until its last child");
+        let executed = *parent.next_op(lane).expect("enabled lane has a next op");
         // The child inherits every sleeper whose pending op is
         // independent of the executed one (it still commutes).
         let child_sleep: BTreeSet<usize> = sleeping
             .iter()
             .copied()
-            .filter(|&q| vm.next_op(q).is_some_and(|qop| !dependent(qop, &executed)))
+            .filter(|&q| {
+                parent
+                    .next_op(q)
+                    .is_some_and(|qop| !dependent(qop, &executed))
+            })
             .collect();
-        let mut child = vm.fork();
-        let idx = enabled.iter().position(|&l| l == lane).expect("member");
-        child.step_choice(idx);
-        dfs(&child, child_sleep, report, budget);
+        // The last child to explore takes the parent's state instead
+        // of a copy.
+        let last = enabled[idx + 1..].iter().all(|l| sleeping.contains(l));
+        let mut child = if last {
+            vm.take().expect("parent kept until its last child")
+        } else {
+            parent.fork()
+        };
+        child.step_enabled(idx, lane);
+        dfs(child, child_sleep, report, budget)?;
         sleeping.insert(lane);
     }
+    ControlFlow::Continue(())
 }
 
 #[cfg(test)]
@@ -305,6 +330,11 @@ mod tests {
         let r = systematic(&p, Budget::schedules(100));
         assert!(r.space_exhausted);
         assert_eq!(r.schedules, 1, "both orders commute; one schedule suffices");
+        assert_eq!(
+            systematic(&p, Budget::schedules(1)),
+            r,
+            "the other order sleeps, so a budget of one covers the space"
+        );
         // Dependent lanes (same var): both orders explored.
         let q = Program {
             name: "dep".into(),
@@ -317,6 +347,20 @@ mod tests {
         let r = systematic(&q, Budget::schedules(100));
         assert!(r.space_exhausted);
         assert_eq!(r.schedules, 2, "conflicting stores do not commute");
+    }
+
+    #[test]
+    fn a_budget_equal_to_the_space_exhausts_it() {
+        // One schedule, the only leaf: at budget 1 every other branch
+        // sleeps, so nothing is left unexplored.
+        let p = crate::race::patternlet_program(crate::race::FixStrategy::Reduction, 2, 2);
+        let full = systematic(&p, Budget::schedules(100));
+        assert_eq!(full.schedules, 1);
+        let r = systematic(&p, Budget::schedules(1));
+        assert_eq!(r.schedules, 1);
+        assert!(r.space_exhausted, "the single schedule is the whole space");
+        assert_eq!(r, full);
+        assert!(!systematic(&p, Budget::schedules(0)).space_exhausted);
     }
 
     #[test]

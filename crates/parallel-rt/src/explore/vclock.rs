@@ -10,7 +10,9 @@
 //! update ("the program is correct under most interleavings, so tests
 //! usually pass").
 
-use obs::trace::fnv1a;
+use std::fmt::Write;
+
+use obs::trace::Fnv1a;
 
 use super::program::{AccessKind, VarId};
 
@@ -77,27 +79,31 @@ impl RaceReport {
     /// plain read" share this signature, which is what counterexample
     /// shrinking preserves.
     pub fn signature(&self) -> u64 {
-        fnv1a(
-            format!(
-                "race v{} {}:{:?} {}:{:?}",
-                self.var, self.first.lane, self.first.kind, self.second.lane, self.second.kind
-            )
-            .as_bytes(),
+        // Streamed into the hasher: no `String` per call, same bytes
+        // as formatting the text first.
+        let mut h = Fnv1a::default();
+        write!(
+            h,
+            "race v{} {}:{:?} {}:{:?}",
+            self.var, self.first.lane, self.first.kind, self.second.lane, self.second.kind
         )
+        .expect("hashing cannot fail");
+        h.finish()
     }
 
     /// Schedule-specific fingerprint: the signature plus the exact
     /// step indices of both sides.
     pub fn digest(&self) -> u64 {
-        fnv1a(
-            format!(
-                "{:016x}@{}+{}",
-                self.signature(),
-                self.first.step,
-                self.second.step
-            )
-            .as_bytes(),
+        let mut h = Fnv1a::default();
+        write!(
+            h,
+            "{:016x}@{}+{}",
+            self.signature(),
+            self.first.step,
+            self.second.step
         )
+        .expect("hashing cannot fail");
+        h.finish()
     }
 
     /// Human rendering for reports and step summaries.
@@ -381,6 +387,11 @@ mod tests {
             ..a.clone()
         };
         assert_eq!(a.signature(), b.signature());
+        assert_eq!(
+            a.signature(),
+            0x5e20_e1f0_6398_a336,
+            "signature bytes are pinned"
+        );
         assert_ne!(a.digest(), b.digest());
         assert!(a.render().contains("v0"));
     }

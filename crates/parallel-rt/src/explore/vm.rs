@@ -88,7 +88,7 @@ pub struct Execution {
     /// Happens-before races detected during the run.
     pub races: Vec<RaceReport>,
     /// FNV-1a digest of the run's Chrome trace JSON (`None` for the
-    /// traceless executions the systematic search forks).
+    /// traceless runs both searches make).
     pub trace_digest: Option<u64>,
 }
 
@@ -241,8 +241,15 @@ impl<'p> Vm<'p> {
     /// # Panics
     /// Panics if `idx` is not a valid index into [`Vm::enabled`].
     pub fn step_choice(&mut self, idx: usize) {
-        let enabled = self.enabled();
-        let lane = enabled[idx];
+        let lane = self.enabled()[idx];
+        self.step_enabled(idx, lane);
+    }
+
+    /// [`Vm::step_choice`] for a caller that already holds the enabled
+    /// set: records choice `idx` and steps `lane`, which must be
+    /// `self.enabled()[idx]`.
+    pub(crate) fn step_enabled(&mut self, idx: usize, lane: usize) {
+        debug_assert_eq!(self.enabled().get(idx), Some(&lane));
         self.choices.push(idx);
         self.step_lane(lane);
     }
@@ -348,19 +355,30 @@ impl<'p> Vm<'p> {
     }
 }
 
-/// Drives `program` to completion under `chooser`, recording a trace.
-pub fn run_with_trace(program: &Program, chooser: &mut dyn Chooser) -> (Execution, Trace) {
-    let mut vm = Vm::new(program, true);
+/// Steps `vm` to completion, each decision drawn from `chooser`.
+fn drive(mut vm: Vm<'_>, chooser: &mut dyn Chooser) -> (Execution, Option<Trace>) {
     loop {
         let enabled = vm.enabled();
         if enabled.is_empty() {
             break;
         }
         let idx = chooser.choose(enabled.len());
-        vm.step_choice(idx);
+        vm.step_enabled(idx, enabled[idx]);
     }
-    let (exec, trace) = vm.finish();
+    vm.finish()
+}
+
+/// Drives `program` to completion under `chooser`, recording a trace.
+pub fn run_with_trace(program: &Program, chooser: &mut dyn Chooser) -> (Execution, Trace) {
+    let (exec, trace) = drive(Vm::new(program, true), chooser);
     (exec, trace.expect("recording was on"))
+}
+
+/// [`run_random`] without the trace: the same schedule, races and
+/// observed value, with [`Execution::trace_digest`] `None`. The fuzz
+/// search runs every seed this way.
+pub(crate) fn run_random_traceless(program: &Program, seed: u64) -> Execution {
+    drive(Vm::new(program, false), &mut RngChooser::seeded(seed)).0
 }
 
 /// One random schedule from `seed` (traced; the digest is the replay
