@@ -231,6 +231,18 @@ impl OsState {
         }
     }
 
+    /// Opens `pid`'s run slice on its core's lane and its own lane.
+    fn trace_slice_begin(&mut self, core: usize, pid: Pid, now: Cycles) {
+        if let Some(tr) = &mut self.tracer {
+            let lane = tr.core_lanes[core];
+            let name = format!("pid/{pid}");
+            tr.rec
+                .buf(lane)
+                .begin(now, name, category::SLICE, pid as u64);
+        }
+        self.trace_begin_proc(pid, now, "run", category::SLICE);
+    }
+
     fn trace_core_end(&mut self, core: usize, now: Cycles) {
         if let Some(tr) = &mut self.tracer {
             let lane = tr.core_lanes[core];
@@ -556,9 +568,7 @@ impl OsState {
                     .sched
                     .timeslice(&self.procs[pid as usize], self.cfg.timeslice);
                 self.cores[core].deadline = Some(now + slice);
-                let name = format!("pid/{pid}");
-                self.trace_core_begin(core, now, &name, category::SLICE, pid as u64);
-                self.trace_begin_proc(pid, now, "run", category::SLICE);
+                self.trace_slice_begin(core, pid, now);
             }
             Micro::Compute(step) => {
                 {
@@ -595,11 +605,7 @@ impl OsState {
                 self.syscalls += 1;
                 self.procs[pid as usize].regs.pc += 1;
                 match self.handle_syscall(core, pid, sys, now) {
-                    Flow::Continue => {
-                        let name = format!("pid/{pid}");
-                        self.trace_core_begin(core, now, &name, category::SLICE, pid as u64);
-                        self.trace_begin_proc(pid, now, "run", category::SLICE);
-                    }
+                    Flow::Continue => self.trace_slice_begin(core, pid, now),
                     Flow::Descheduled => {}
                 }
             }

@@ -16,12 +16,13 @@
 
 use super::program::Program;
 use super::search::Counterexample;
-use super::vm::{replay, Execution};
+use super::vm::{replay, replay_traceless, Execution};
 
 /// Does `choices` still expose the race named by `signature` on
-/// `program`? (The reproduction oracle every candidate must pass.)
+/// `program`? (The reproduction oracle every candidate must pass.) The
+/// replay runs untraced: only its races are read.
 pub fn reproduces(program: &Program, choices: &[usize], signature: u64) -> bool {
-    replay(program, choices).has_race_signature(signature)
+    replay_traceless(program, choices).has_race_signature(signature)
 }
 
 /// Shrinks `choices` to a 1-minimal schedule that still reproduces
@@ -32,8 +33,15 @@ pub fn reproduces(program: &Program, choices: &[usize], signature: u64) -> bool 
 /// Panics if `choices` does not reproduce `signature` in the first
 /// place (shrinking an honest counterexample is the only use).
 pub fn shrink(program: &Program, choices: &[usize], signature: u64) -> Vec<usize> {
+    shrink_by(choices, |candidate| {
+        reproduces(program, candidate, signature)
+    })
+}
+
+/// [`shrink`] over an arbitrary reproduction oracle.
+fn shrink_by(choices: &[usize], mut reproduces: impl FnMut(&[usize]) -> bool) -> Vec<usize> {
     assert!(
-        reproduces(program, choices, signature),
+        reproduces(choices),
         "shrink() needs a reproducing counterexample to start from"
     );
     let mut best = choices.to_vec();
@@ -46,13 +54,13 @@ pub fn shrink(program: &Program, choices: &[usize], signature: u64) -> Vec<usize
     let mut hi = best.len();
     while lo < hi {
         let mid = (lo + hi) / 2;
-        if reproduces(program, &best[..mid], signature) {
+        if reproduces(&best[..mid]) {
             hi = mid;
         } else {
             lo = mid + 1;
         }
     }
-    if reproduces(program, &best[..hi], signature) {
+    if reproduces(&best[..hi]) {
         best.truncate(hi);
     }
 
@@ -69,7 +77,7 @@ pub fn shrink(program: &Program, choices: &[usize], signature: u64) -> Vec<usize
                 let mut candidate = best.clone();
                 let end = (at + chunk).min(candidate.len());
                 candidate.drain(at..end);
-                if reproduces(program, &candidate, signature) {
+                if reproduces(&candidate) {
                     best = candidate;
                     changed = true;
                     // Same position now holds the next chunk.
@@ -89,7 +97,7 @@ pub fn shrink(program: &Program, choices: &[usize], signature: u64) -> Vec<usize
             if best[i] != 0 {
                 let mut candidate = best.clone();
                 candidate[i] = 0;
-                if reproduces(program, &candidate, signature) {
+                if reproduces(&candidate) {
                     best = candidate;
                     changed = true;
                 }
@@ -138,7 +146,7 @@ pub fn shrink_counterexample(
 mod tests {
     use super::*;
     use crate::explore::program::{Finalize, Op};
-    use crate::explore::search::{fuzz, Budget};
+    use crate::explore::search::{fuzz, systematic, Budget};
 
     fn racy(threads: usize, increments: usize) -> Program {
         let body: Vec<Op> = (0..increments)
@@ -208,5 +216,28 @@ mod tests {
     fn shrinking_a_non_reproducing_string_panics() {
         let p = racy(2, 1);
         shrink(&p, &[], 0xDEAD_BEEF);
+    }
+
+    #[test]
+    fn traceless_oracle_agrees_with_traced_replay_on_every_candidate() {
+        // The racy 3×2 counterexamples of both searches, with the
+        // minimal strings the traced oracle produced.
+        let p = racy(3, 2);
+        let from_walk = systematic(&p, Budget::schedules(200_000));
+        let from_fuzz = fuzz(&p, 0, Budget::schedules(64));
+        let pinned: [&[usize]; 2] = [&[], &[1, 2, 2, 2]];
+        for (report, minimal) in [from_walk, from_fuzz].into_iter().zip(pinned) {
+            let cex = report.counterexample.expect("the racy counter races");
+            let mut candidates = 0;
+            let shrunk = shrink_by(&cex.choices, |candidate| {
+                candidates += 1;
+                let traced = replay(&p, candidate).has_race_signature(cex.race_signature);
+                assert_eq!(reproduces(&p, candidate, cex.race_signature), traced);
+                traced
+            });
+            assert!(candidates > 1);
+            assert_eq!(shrunk, minimal);
+            assert_eq!(shrink(&p, &cex.choices, cex.race_signature), minimal);
+        }
     }
 }

@@ -228,10 +228,12 @@ impl<'p> Vm<'p> {
             .all(|(&pc, ops)| pc >= ops.len())
     }
 
-    fn emit(&mut self, lane: usize, name: String, cat: &'static str, value: u64) {
+    /// Records an instant on `lane`; `name` is built only when a
+    /// recorder is attached.
+    fn emit(&mut self, lane: usize, name: impl FnOnce() -> String, cat: &'static str, value: u64) {
         let time = self.step as u64;
         if let Some(rec) = &mut self.recorder {
-            rec.buf(lane as u32).instant(time, name, cat, value);
+            rec.buf(lane as u32).instant(time, name(), cat, value);
         }
     }
 
@@ -264,39 +266,39 @@ impl<'p> Vm<'p> {
             Op::Load(v) => {
                 race = self.detector.on_read(lane, v, step);
                 self.accs[lane] = self.vars[v];
-                self.emit(lane, op.mnemonic(), category::STEP, self.vars[v]);
+                self.emit(lane, || op.mnemonic(), category::STEP, self.vars[v]);
             }
             Op::AddImm(k) => {
                 self.accs[lane] = self.accs[lane].wrapping_add(k);
-                self.emit(lane, op.mnemonic(), category::STEP, self.accs[lane]);
+                self.emit(lane, || op.mnemonic(), category::STEP, self.accs[lane]);
             }
             Op::Store(v) => {
                 race = self.detector.on_write(lane, v, step);
                 self.vars[v] = self.accs[lane];
-                self.emit(lane, op.mnemonic(), category::STEP, self.vars[v]);
+                self.emit(lane, || op.mnemonic(), category::STEP, self.vars[v]);
             }
             Op::FetchAdd(v, k) => {
                 self.detector.on_atomic(lane, v);
                 self.vars[v] = self.vars[v].wrapping_add(k);
-                self.emit(lane, op.mnemonic(), category::STEP, self.vars[v]);
+                self.emit(lane, || op.mnemonic(), category::STEP, self.vars[v]);
             }
             Op::Lock(l) => {
                 debug_assert!(self.lock_owner[l].is_none(), "stepping a blocked lane");
                 self.detector.on_acquire(lane, l);
                 self.lock_owner[l] = Some(lane);
-                self.emit(lane, op.mnemonic(), category::STEP, l as u64);
+                self.emit(lane, || op.mnemonic(), category::STEP, l as u64);
             }
             Op::Unlock(l) => {
                 debug_assert_eq!(self.lock_owner[l], Some(lane), "unlock without lock");
                 self.detector.on_release(lane, l);
                 self.lock_owner[l] = None;
-                self.emit(lane, op.mnemonic(), category::STEP, l as u64);
+                self.emit(lane, || op.mnemonic(), category::STEP, l as u64);
             }
             Op::Barrier => {
                 self.detector.on_barrier_arrive(lane);
                 self.at_barrier[lane] = true;
                 self.arrivals += 1;
-                self.emit(lane, op.mnemonic(), category::STEP, self.arrivals as u64);
+                self.emit(lane, || op.mnemonic(), category::STEP, self.arrivals as u64);
                 advance = false;
                 if self.arrivals == self.program.num_lanes() {
                     // Last arrival releases the whole team.
@@ -312,7 +314,7 @@ impl<'p> Vm<'p> {
         if let Some(r) = race {
             self.emit(
                 lane,
-                format!("race v{}", r.var),
+                || format!("race v{}", r.var),
                 category::RACE,
                 r.signature(),
             );
@@ -379,6 +381,13 @@ pub fn run_with_trace(program: &Program, chooser: &mut dyn Chooser) -> (Executio
 /// search runs every seed this way.
 pub(crate) fn run_random_traceless(program: &Program, seed: u64) -> Execution {
     drive(Vm::new(program, false), &mut RngChooser::seeded(seed)).0
+}
+
+/// [`replay`] without the trace: the same schedule, races and observed
+/// value, with [`Execution::trace_digest`] `None`. The shrinker tests
+/// every candidate string this way.
+pub(crate) fn replay_traceless(program: &Program, choices: &[usize]) -> Execution {
+    drive(Vm::new(program, false), &mut ReplayChooser::new(choices)).0
 }
 
 /// One random schedule from `seed` (traced; the digest is the replay

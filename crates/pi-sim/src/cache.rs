@@ -5,8 +5,12 @@
 //! "scope matters"; the coherence traffic modelled here is what makes
 //! false sharing and racy updates slow on real hardware, and is what the
 //! [`crate::machine`] charges memory latency against.
-
-use std::collections::HashMap;
+//!
+//! Each level is set-associative with true-LRU replacement per set. There
+//! is no sharer directory: a write probes the one set the line maps to in
+//! every peer L1 and drops it where present. A core's L1 holds a line only
+//! if that core touched it and no peer has written it since, which is all
+//! a directory would record, so the probe counts the same invalidations.
 
 /// Geometry of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,60 +49,64 @@ impl CacheConfig {
 }
 
 /// One set-associative cache with true-LRU replacement.
+///
+/// The tags live in one flat array, `ways` slots per set; the first
+/// `fill[set]` slots of a set hold its lines ordered most- to
+/// least-recently used, so the victim is always the last one.
 #[derive(Debug, Clone)]
 struct SetAssocCache {
     config: CacheConfig,
-    /// sets[set] = lines ordered most- to least-recently used; values are
-    /// line tags (address / line_bytes).
-    sets: Vec<Vec<u64>>,
+    /// Line tags (address / line_bytes), `sets × ways` slots.
+    tags: Vec<u64>,
+    /// Valid lines per set.
+    fill: Vec<usize>,
 }
 
 impl SetAssocCache {
     fn new(config: CacheConfig) -> Self {
         SetAssocCache {
             config,
-            sets: vec![Vec::with_capacity(config.ways); config.sets],
+            tags: vec![0; config.sets * config.ways],
+            fill: vec![0; config.sets],
         }
     }
 
-    fn line_of(&self, addr: u64) -> u64 {
-        addr / self.config.line_bytes
+    /// `line`'s set and the index of that set's first slot.
+    fn set_of(&self, line: u64) -> (usize, usize) {
+        let set = (line % self.config.sets as u64) as usize;
+        (set, set * self.config.ways)
     }
 
-    fn set_of(&self, line: u64) -> usize {
-        (line % self.config.sets as u64) as usize
-    }
-
-    /// Touches `addr`; returns true on hit. Misses install the line,
+    /// Touches `line`; returns true on hit. Misses install the line,
     /// evicting LRU if needed.
-    fn access(&mut self, addr: u64) -> bool {
-        let line = self.line_of(addr);
-        let set_idx = self.set_of(line);
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.iter().position(|&l| l == line) {
+    fn access(&mut self, line: u64) -> bool {
+        let (set, base) = self.set_of(line);
+        let fill = self.fill[set];
+        if let Some(pos) = self.tags[base..base + fill].iter().position(|&l| l == line) {
             // Move to MRU position.
-            let l = set.remove(pos);
-            set.insert(0, l);
-            true
-        } else {
-            if set.len() == self.config.ways {
-                set.pop();
-            }
-            set.insert(0, line);
-            false
+            self.tags[base..=base + pos].rotate_right(1);
+            return true;
         }
+        // The first free slot, or the LRU victim when the set is full,
+        // comes to the front and takes the new line.
+        let fill = (fill + 1).min(self.config.ways);
+        self.fill[set] = fill;
+        self.tags[base..base + fill].rotate_right(1);
+        self.tags[base] = line;
+        false
     }
 
-    /// Drops `addr`'s line if present; returns true if it was present.
-    fn invalidate(&mut self, addr: u64) -> bool {
-        let line = self.line_of(addr);
-        let set_idx = self.set_of(line);
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.iter().position(|&l| l == line) {
-            set.remove(pos);
-            true
-        } else {
-            false
+    /// Drops `line` if present; returns true if it was present.
+    fn invalidate(&mut self, line: u64) -> bool {
+        let (set, base) = self.set_of(line);
+        let fill = self.fill[set];
+        match self.tags[base..base + fill].iter().position(|&l| l == line) {
+            Some(pos) => {
+                self.tags[base + pos..base + fill].rotate_left(1);
+                self.fill[set] = fill - 1;
+                true
+            }
+            None => false,
         }
     }
 }
@@ -153,15 +161,16 @@ impl CacheStats {
     }
 }
 
-/// The full hierarchy: one L1 per core, one shared L2, a line-owner map
-/// for write-invalidate coherence.
+/// The full hierarchy: one L1 per core and one shared L2.
+///
+/// Coherence needs no directory: a write probes every peer L1's set for
+/// the line and drops it where present, so `invalidations` counts
+/// exactly the peers that held it.
 #[derive(Debug)]
 pub struct Hierarchy {
     l1: Vec<SetAssocCache>,
     l2: SetAssocCache,
     line_bytes: u64,
-    /// line -> bitmask of cores whose L1 may hold it.
-    sharers: HashMap<u64, u32>,
     /// Per-core statistics.
     pub stats: Vec<CacheStats>,
 }
@@ -175,10 +184,14 @@ impl Hierarchy {
     /// Builds a hierarchy with explicit geometries.
     ///
     /// # Panics
-    /// Panics if `cores` is 0, exceeds 32 (sharer bitmask width), or the
-    /// two levels disagree on line size.
+    /// Panics if `cores` is 0, a level has no sets or no ways, or the two
+    /// levels disagree on line size.
     pub fn new(cores: usize, l1: CacheConfig, l2: CacheConfig) -> Self {
-        assert!((1..=32).contains(&cores), "1..=32 cores supported");
+        assert!(cores >= 1, "at least one core");
+        assert!(
+            [l1, l2].iter().all(|c| c.sets > 0 && c.ways > 0),
+            "every level needs at least one set and one way"
+        );
         assert_eq!(
             l1.line_bytes, l2.line_bytes,
             "levels must share a line size"
@@ -187,7 +200,6 @@ impl Hierarchy {
             l1: (0..cores).map(|_| SetAssocCache::new(l1)).collect(),
             l2: SetAssocCache::new(l2),
             line_bytes: l1.line_bytes,
-            sharers: HashMap::new(),
             stats: vec![CacheStats::default(); cores],
         }
     }
@@ -226,22 +238,18 @@ impl Hierarchy {
 
         // Write-invalidate: kick the line out of every peer L1.
         if write {
-            let mask = self.sharers.get(&line).copied().unwrap_or(0);
-            for peer in 0..self.l1.len() {
-                if peer != core && mask & (1 << peer) != 0 && self.l1[peer].invalidate(addr) {
+            for peer in (0..self.l1.len()).filter(|&p| p != core) {
+                if self.l1[peer].invalidate(line) {
                     invalidations += 1;
                     self.stats[peer].invalidations_received += 1;
                 }
             }
-            self.sharers.insert(line, 1 << core);
-        } else {
-            *self.sharers.entry(line).or_insert(0) |= 1 << core;
         }
 
-        let level = if self.l1[core].access(addr) {
+        let level = if self.l1[core].access(line) {
             self.stats[core].l1_hits += 1;
             HitLevel::L1
-        } else if self.l2.access(addr) {
+        } else if self.l2.access(line) {
             self.stats[core].l2_hits += 1;
             HitLevel::L2
         } else {
@@ -255,9 +263,117 @@ impl Hierarchy {
     }
 }
 
+/// The directory-based hierarchy this module used to run: per-set
+/// `Vec`s and a line → sharers map. Kept only as the differential
+/// oracle for [`Hierarchy`].
+#[cfg(test)]
+mod reference {
+    use super::{AccessOutcome, CacheConfig, CacheStats, HitLevel};
+    use std::collections::HashMap;
+
+    struct SetAssoc {
+        config: CacheConfig,
+        sets: Vec<Vec<u64>>,
+    }
+
+    impl SetAssoc {
+        fn new(config: CacheConfig) -> Self {
+            SetAssoc {
+                config,
+                sets: vec![Vec::with_capacity(config.ways); config.sets],
+            }
+        }
+
+        fn set(&mut self, line: u64) -> &mut Vec<u64> {
+            &mut self.sets[(line % self.config.sets as u64) as usize]
+        }
+
+        fn access(&mut self, line: u64) -> bool {
+            let ways = self.config.ways;
+            let set = self.set(line);
+            if let Some(pos) = set.iter().position(|&l| l == line) {
+                let l = set.remove(pos);
+                set.insert(0, l);
+                true
+            } else {
+                if set.len() == ways {
+                    set.pop();
+                }
+                set.insert(0, line);
+                false
+            }
+        }
+
+        fn invalidate(&mut self, line: u64) -> bool {
+            let set = self.set(line);
+            match set.iter().position(|&l| l == line) {
+                Some(pos) => {
+                    set.remove(pos);
+                    true
+                }
+                None => false,
+            }
+        }
+    }
+
+    pub(super) struct DirectoryHierarchy {
+        l1: Vec<SetAssoc>,
+        l2: SetAssoc,
+        line_bytes: u64,
+        /// line -> bitmask of cores whose L1 may hold it.
+        sharers: HashMap<u64, u32>,
+        pub(super) stats: Vec<CacheStats>,
+    }
+
+    impl DirectoryHierarchy {
+        pub(super) fn new(cores: usize, l1: CacheConfig, l2: CacheConfig) -> Self {
+            assert!((1..=32).contains(&cores));
+            DirectoryHierarchy {
+                l1: (0..cores).map(|_| SetAssoc::new(l1)).collect(),
+                l2: SetAssoc::new(l2),
+                line_bytes: l1.line_bytes,
+                sharers: HashMap::new(),
+                stats: vec![CacheStats::default(); cores],
+            }
+        }
+
+        pub(super) fn access(&mut self, core: usize, addr: u64, write: bool) -> AccessOutcome {
+            let line = addr / self.line_bytes;
+            let mut invalidations = 0;
+            if write {
+                let mask = self.sharers.get(&line).copied().unwrap_or(0);
+                for peer in 0..self.l1.len() {
+                    if peer != core && mask & (1 << peer) != 0 && self.l1[peer].invalidate(line) {
+                        invalidations += 1;
+                        self.stats[peer].invalidations_received += 1;
+                    }
+                }
+                self.sharers.insert(line, 1 << core);
+            } else {
+                *self.sharers.entry(line).or_insert(0) |= 1 << core;
+            }
+            let level = if self.l1[core].access(line) {
+                self.stats[core].l1_hits += 1;
+                HitLevel::L1
+            } else if self.l2.access(line) {
+                self.stats[core].l2_hits += 1;
+                HitLevel::L2
+            } else {
+                self.stats[core].memory_accesses += 1;
+                HitLevel::Memory
+            };
+            AccessOutcome {
+                level,
+                invalidations,
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn config_capacities_match_the_pi() {
@@ -361,9 +477,59 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "at least one set and one way")]
+    fn zero_way_level_panics() {
+        let l1 = CacheConfig {
+            ways: 0,
+            ..CacheConfig::pi_l1()
+        };
+        Hierarchy::new(1, l1, CacheConfig::pi_l2());
+    }
+
+    #[test]
     #[should_panic(expected = "out of range")]
     fn bad_core_panics() {
         let mut h = Hierarchy::pi(2);
         h.access(5, 0, false);
+    }
+
+    proptest! {
+        /// The directory-free hierarchy answers every access of a random
+        /// stream exactly as the directory-based reference does. Lines are
+        /// drawn from a few L1 sets (tiny random geometries, or the Pi's
+        /// with a set-sized stride), so LRU eviction at both levels and
+        /// write-invalidation all fire.
+        #[test]
+        fn matches_the_directory_reference(
+            cores in 1usize..9,
+            mode in 0u8..3,
+            geometry in (0usize..5, 1usize..5, 1usize..9, 1usize..9),
+            stream in prop::collection::vec((0usize..8, 0u64..96, 0u64..64, 0u8..4), 1..400),
+        ) {
+            let (l1_sets, l1_ways, l2_sets, l2_ways) = geometry;
+            // l1_sets == 0 selects the Pi geometry.
+            let pi = l1_sets == 0;
+            let (l1, l2) = if pi {
+                (CacheConfig::pi_l1(), CacheConfig::pi_l2())
+            } else {
+                let config = |sets, ways| CacheConfig { line_bytes: 64, sets, ways };
+                (config(l1_sets, l1_ways), config(l2_sets, l2_ways))
+            };
+            let mut fast = Hierarchy::new(cores, l1, l2);
+            let mut oracle = reference::DirectoryHierarchy::new(cores, l1, l2);
+            for (core, line, offset, op) in stream {
+                let core = core % cores;
+                // On the Pi's 128 L1 sets the stream stays in sets 0..3.
+                let line = if pi { (line / 3) * 128 + line % 3 } else { line };
+                let write = match mode {
+                    0 => false,
+                    1 => true,
+                    _ => op == 0,
+                };
+                let addr = line * 64 + offset;
+                prop_assert_eq!(fast.access(core, addr, write), oracle.access(core, addr, write));
+            }
+            prop_assert_eq!(&fast.stats, &oracle.stats);
+        }
     }
 }

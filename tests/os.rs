@@ -143,3 +143,54 @@ fn oversubscription_cells_replay_bit_identically() {
         assert_eq!(a, b);
     }
 }
+
+/// The whole oversubscription sweep, P ∈ {4…128} × the three
+/// schedulers on 4 cores, pinned by its digest. BENCH_os.json pins only
+/// P ≤ 8; the wider cells are where the cache hierarchy sees 131k
+/// distinct lines, so a change to the cache model that shifts any
+/// hit level, invalidation count or schedule trips this.
+#[test]
+fn full_oversubscription_sweep_is_pinned() {
+    let study = os::study::oversubscription_study(4, &[4, 5, 8, 16, 32, 64, 128]);
+    assert_eq!(study.cells.len(), 21);
+    assert_eq!(study.digest(), 0xca19_1d33_99a7_fb21);
+}
+
+/// The oversubscription workers only read private lines, so no pinned
+/// OS run sees coherence traffic. Here five processes on four cores
+/// write and read back the same 32 lines, so every write invalidates
+/// the copies in the other cores' L1s; the digests pin the cost of
+/// that traffic under each scheduler.
+#[test]
+fn shared_writes_cohort_is_pinned() {
+    let cohort = || -> Vec<(ProcProgram, u8)> {
+        (0..5)
+            .map(|i| {
+                let mut prog = ProcProgram::new();
+                for _ in 0..4 {
+                    prog = prog
+                        .compute_repeat(1_000, 4)
+                        .write_stride(0x1000, 64, 32)
+                        .read_stride(0x1000, 64, 32);
+                }
+                (prog.exit(0), (i % 2) as u8)
+            })
+            .collect()
+    };
+    let digests: Vec<u64> = SchedKind::ALL
+        .into_iter()
+        .map(|kind| {
+            Os::new(OsConfig::pi_with_cores(4))
+                .run(cohort(), kind.make())
+                .digest()
+        })
+        .collect();
+    assert_eq!(
+        digests,
+        [
+            0xd516_45d3_1ffc_9416,
+            0xb1cf_69d3_1ac2_de43,
+            0xade1_d532_a073_2770
+        ]
+    );
+}
